@@ -19,7 +19,7 @@ from itertools import combinations, product
 from typing import Iterator
 
 from .errors import UnsupportedSizeError
-from .game import Strategy, WinningFamily
+from .game import MAX_DICTATOR_N, Strategy, WinningFamily, tuple_from_index, tuple_index
 from .graphs import Graph, maximum_independent_sets
 
 MAX_CSP_TABLES = 2_000_000
@@ -429,25 +429,6 @@ def union_measure(family: BlockerFamily) -> Fraction:
 # --- serialization ----------------------------------------------------------
 
 
-def _flatten(points: tuple[tuple[int, ...], ...], n: int) -> list[int]:
-    out = []
-    for p in points:
-        idx = 0
-        for x in p:
-            idx = (idx << n) | x
-        out.append(idx)
-    return out
-
-
-def _unflatten(idx: int, n: int, t: int) -> tuple[int, ...]:
-    mask = (1 << n) - 1
-    out = [0] * t
-    for i in range(t - 1, -1, -1):
-        out[i] = idx & mask
-        idx >>= n
-    return tuple(out)
-
-
 def family_to_json(family: BlockerFamily) -> str:
     doc: dict = {
         "t": family.t,
@@ -459,7 +440,7 @@ def family_to_json(family: BlockerFamily) -> str:
         "stalled": family.stalled,
     }
     if family.blockers is not None:
-        doc["blockers"] = [_flatten(b.points, family.n) for b in family.blockers]
+        doc["blockers"] = [[tuple_index(p, family.n) for p in b.points] for b in family.blockers]
     else:
         assert family.tuples is not None
         doc["product"] = {
@@ -470,30 +451,63 @@ def family_to_json(family: BlockerFamily) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _index_list(value, bits: int, what: str) -> list[int]:
+    """A JSON list of integers in [0, 2^bits); anything else is a ValueError."""
+    if not isinstance(value, list) or not all(
+        type(i) is int and 0 <= i and i.bit_length() <= bits for i in value
+    ):
+        raise ValueError(f"{what} must be a list of integers in [0, 2^{bits}), got {value!r}")
+    return value
+
+
 def family_from_json(text: str) -> BlockerFamily:
+    """Inverse of family_to_json; a malformed document raises ValueError."""
     doc = json.loads(text)
-    num, _, den = doc["beta"].partition("/")
-    beta = Fraction(int(num), int(den or 1))
+    if not isinstance(doc, dict):
+        raise ValueError("a blocker family document must be a JSON object")
+    missing = [key for key in ("t", "n", "k", "beta") if key not in doc]
+    if "blockers" not in doc and "product" not in doc:
+        missing.append("blockers or product")
+    if missing:
+        raise ValueError(f"blocker family JSON lacks {', '.join(missing)}")
+    t, n, k = doc["t"], doc["n"], doc["k"]
+    if not all(type(v) is int and v >= 1 for v in (t, n, k)):
+        raise ValueError(f"t, n and k must be positive integers, got {t!r}, {n!r}, {k!r}")
+    if t > 2 or n > MAX_DICTATOR_N:
+        # the only families built and certified here; also bounds decoding cost
+        raise ValueError(f"need t <= 2 and n <= {MAX_DICTATOR_N}, got t={t}, n={n}")
+    try:
+        num, _, den = doc["beta"].partition("/")
+        beta = Fraction(int(num), int(den or 1))
+    except (AttributeError, ZeroDivisionError) as exc:
+        raise ValueError(f"beta must be a fraction string, got {doc['beta']!r}") from exc
+    seed = doc.get("seed")
+    stalled, certified = doc.get("stalled", False), doc.get("certified", False)
+    if not (seed is None or type(seed) is int) or not all(
+        type(flag) is bool for flag in (stalled, certified)
+    ):
+        raise ValueError("seed must be an integer or null, stalled and certified booleans")
     family = BlockerFamily(
-        t=doc["t"],
-        n=doc["n"],
-        k=doc["k"],
-        beta=beta,
-        seed=doc.get("seed"),
-        stalled=doc.get("stalled", False),
-        certified=doc.get("certified", False),
+        t=t, n=n, k=k, beta=beta, seed=seed, stalled=stalled, certified=certified
     )
     if "blockers" in doc:
-        family.blockers = tuple(
-            Blocker(
-                t=family.t,
-                n=family.n,
-                points=tuple(_unflatten(i, family.n, family.t) for i in flat),
-            )
-            for flat in doc["blockers"]
-        )
+        if not isinstance(doc["blockers"], list):
+            raise ValueError("blockers must be a list of point-index lists")
+        blockers = []
+        for flat in doc["blockers"]:
+            if len(_index_list(flat, n * t, "a blocker")) != k:
+                raise ValueError(f"a blocker has {len(flat)} points, expected k={k}")
+            points = tuple(tuple_from_index(i, n, t) for i in flat)
+            blockers.append(Blocker(t=t, n=n, points=points))
+        family.blockers = tuple(blockers)
     else:
-        family.tuples = tuple(tuple(tp) for tp in doc["product"]["tuples"])
+        tuples = doc["product"].get("tuples") if isinstance(doc["product"], dict) else None
+        if t != 2 or not isinstance(tuples, list):
+            raise ValueError("a product family needs t=2 and a list of product tuples")
+        for tp in tuples:
+            if 2 * len(set(_index_list(tp, n, "a product tuple"))) != k:
+                raise ValueError(f"a product tuple must hold {k}/2 distinct points")
+        family.tuples = tuple(tuple(tp) for tp in tuples)
     return family
 
 

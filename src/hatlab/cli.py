@@ -46,7 +46,6 @@ from .graphs import (
     random_graph,
     shift_graph,
 )
-from .parallel import default_threads
 from .randomsub import alpha_star_star_exact, alpha_star_star_mc
 from .solver import exact_p, local_search_p
 
@@ -132,14 +131,11 @@ def parse_graph_spec(spec: str, power: int = 1) -> Graph:
 def _cmd_solve(args: argparse.Namespace) -> tuple[dict, int | None, int]:
     kind = FAMILY_ALIASES[args.family]
     if args.mode == "exact":
-        res = exact_p(
-            args.t, args.n, kind, allow_slow=args.allow_slow, threads=args.threads
-        )
+        res = exact_p(args.t, args.n, kind, allow_slow=args.allow_slow)
         seed = None
     else:
         res = local_search_p(
-            args.t, args.n, kind,
-            seed=args.seed, restarts=args.restarts, threads=args.threads,
+            args.t, args.n, kind, seed=args.seed, restarts=args.restarts
         )
         seed = args.seed
     result = dict(frac_fields(res.value), method=res.method, work=res.work)
@@ -180,7 +176,7 @@ def _cmd_alphastar(args: argparse.Namespace) -> tuple[dict, int | None, int]:
     if args.mode == "exact":
         val = alpha_star_star_exact(g)
         return dict(frac_fields(val), label=g.label, mode="exact"), None, EXIT_OK
-    est = alpha_star_star_mc(g, args.samples, args.seed, threads=args.threads)
+    est = alpha_star_star_mc(g, args.samples, args.seed)
     result = {
         "mean": repr(est.mean),
         "stderr": repr(est.stderr),
@@ -289,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads (default: HATLAB_THREADS or 1); results do not depend on it",
+        help="accepted for compatibility; has no effect",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -370,8 +366,6 @@ def _params_of(args: argparse.Namespace) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is None:
-        args.threads = default_threads()
     started = time.monotonic()
     try:
         result, seed, code = HANDLERS[args.command](args)

@@ -290,12 +290,3 @@ def winning_set(strategy: Strategy, family: WinningFamily) -> PointSet:
 def success_probability(strategy: Strategy, family: WinningFamily) -> Fraction:
     """Exact winning probability of one strategy: mu(winning_set)."""
     return winning_set(strategy, family).measure
-
-
-def sets_intersecting_point(family: WinningFamily, point: int) -> int:
-    """Bitmask over family indices i with point in W_i (used by solvers)."""
-    m = 0
-    for i, w in enumerate(family.sets):
-        if w >> point & 1:
-            m |= 1 << i
-    return m

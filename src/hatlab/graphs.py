@@ -417,15 +417,23 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str, label: str = "imported") -> Graph:
+    """Inverse of graph_to_text; a vertex id outside [0, vcount) is a ValueError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("graph text is empty; expected a vertex count line")
     vcount = int(lines[0])
+    if vcount < 0:
+        raise ValueError(f"negative vertex count {vcount}")
     adj = _empty_adj(vcount)
     loop = [False] * vcount
     for ln in lines[1:]:
         head, _, rest = ln.partition(":")
         v = int(head)
-        for tok in rest.split():
-            u = int(tok)
+        nbrs = [int(tok) for tok in rest.split()]
+        for u in (v, *nbrs):
+            if not 0 <= u < vcount:
+                raise ValueError(f"vertex {u} outside [0, {vcount}) in line {ln!r}")
+        for u in nbrs:
             if u == v:
                 loop[v] = True
             else:
@@ -449,16 +457,35 @@ def graph_to_bytes(g: Graph) -> bytes:
 
 
 def graph_from_bytes(data: bytes, label: str = "imported") -> Graph:
+    """Inverse of graph_to_bytes.
+
+    Raises ValueError unless the data is exactly one header and vcount rows,
+    no row sets a bit at or above vcount, and the rows are symmetric.
+    """
     if data[:4] != BINARY_MAGIC:
         raise ValueError(f"bad magic {data[:4]!r}, expected {BINARY_MAGIC!r}")
+    if len(data) < 8:
+        raise ValueError(f"{len(data)}-byte file ends inside the 8-byte header")
     (vcount,) = struct.unpack("<I", data[4:8])
     row_len = (vcount + 7) // 8
+    if len(data) != 8 + vcount * row_len:
+        raise ValueError(
+            f"{len(data)}-byte file, but {vcount} vertices need {8 + vcount * row_len} bytes"
+        )
     adj = []
     loop = []
     off = 8
     for v in range(vcount):
         row = int.from_bytes(data[off : off + row_len], "little")
         off += row_len
+        if row >> vcount:
+            raise ValueError(f"row {v} sets a bit at or above vcount {vcount}")
         loop.append(bool(row >> v & 1))
         adj.append(row & ~(1 << v))
+    for u, row in enumerate(adj):
+        while row:
+            v = (row & -row).bit_length() - 1
+            if not adj[v] >> u & 1:
+                raise ValueError(f"rows are not symmetric: edge {u}-{v} but not {v}-{u}")
+            row &= row - 1
     return Graph(vcount, tuple(adj), tuple(loop), label)

@@ -17,7 +17,6 @@ from fractions import Fraction
 from .errors import UnsupportedSizeError
 from .game import WinningFamily
 from .graphs import Graph, max_independent_set, mis_size_all_subsets, mis_size_in_subset
-from .parallel import chunked, ordered_map
 
 EXACT_LIMIT = 20  # subset-DP budget; the advertised contract is vcount <= 16
 
@@ -159,23 +158,17 @@ class AlphaStarStarEstimate:
 def alpha_star_star_mc(
     g: Graph, samples: int, seed: int, threads: int = 1
 ) -> AlphaStarStarEstimate:
-    """Unbiased Monte Carlo estimate; each sample's MIS is solved exactly."""
+    """Unbiased Monte Carlo estimate; each sample's MIS is solved exactly.
+
+    `threads` is accepted for compatibility and has no effect.
+    """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-
-    def run(idx_range: range) -> tuple[int, int]:
-        s1 = s2 = 0
-        for i in idx_range:
-            w = sample_binomial_subset(g.vcount, seed, i).bits
-            a = mis_size_in_subset(g, w)
-            s1 += a
-            s2 += a * a
-        return s1, s2
-
-    pieces = chunked(range(samples), threads * 4)
-    sums = ordered_map(run, pieces, threads)
-    s1 = sum(p[0] for p in sums)
-    s2 = sum(p[1] for p in sums)
+    s1 = s2 = 0
+    for i in range(samples):
+        a = mis_size_in_subset(g, sample_binomial_subset(g.vcount, seed, i).bits)
+        s1 += a
+        s2 += a * a
     v = g.vcount
     mean = s1 / (samples * v)
     var = (s2 / (v * v) - samples * mean * mean) / (samples - 1)
@@ -198,12 +191,15 @@ def epsilon_gap(
     seed: int = 0,
     threads: int = 1,
 ) -> GapResult:
-    """alpha_bar(G) - alpha**(G), exact or estimated per `mode`."""
+    """alpha_bar(G) - alpha**(G), exact or estimated per `mode`.
+
+    `threads` is accepted for compatibility and has no effect.
+    """
     alpha_bar = max_independent_set(g).alpha_bar
     if mode == "exact":
         a2 = alpha_star_star_exact(g)
         return GapResult(alpha_bar, a2, alpha_bar - a2, "exact")
     if mode == "mc":
-        est = alpha_star_star_mc(g, samples, seed, threads)
+        est = alpha_star_star_mc(g, samples, seed)
         return GapResult(alpha_bar, est, float(alpha_bar) - est.mean, "mc")
     raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")

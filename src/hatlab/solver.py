@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Callable
 
 from .errors import MalformedPartitionError, UnsupportedSizeError
 from .game import (
@@ -21,16 +22,16 @@ from .game import (
     WinningFamily,
     constant_strategy,
     enumerate_family,
-    sets_intersecting_point,
     success_probability,
     tuple_from_index,
     visible_index,
 )
-from .parallel import chunked, ordered_map
 
 MAX_P2_TABLES = 70_000
 MAX_TABLE_INPUT_BITS = 16
 MAX_EVAL_BITS = 20
+
+_Argmax = Callable[[int], tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -69,41 +70,62 @@ def partition_from_table(table: tuple[int, ...], r: int, n: int) -> PartitionVie
     return PartitionView(n=n, cells=tuple(cells))
 
 
-def _response_masks(family: WinningFamily) -> list[int]:
-    """For each point x2, the bitmask of family indices whose set contains x2."""
-    return [sets_intersecting_point(family, x2) for x2 in range(1 << family.n)]
+def _argmax(masks: tuple[int, ...] | list[int]) -> _Argmax:
+    """Memoised best mask against a union: u -> (max popcount(w & u), its lowest index)."""
+    cache: dict[int, tuple[int, int]] = {}
+
+    def best(u: int) -> tuple[int, int]:
+        hit = cache.get(u)
+        if hit is None:
+            b, bi = -1, 0
+            for i, w in enumerate(masks):
+                c = (w & u).bit_count()
+                if c > b:
+                    b, bi = c, i
+            hit = cache[u] = (b, bi)
+        return hit
+
+    return best
 
 
-def _best_response_total(
-    cells: tuple[int, ...] | list[int], family: WinningFamily, rmasks: list[int]
+def _best_response(
+    cells: tuple[int, ...] | list[int],
+    members: list[tuple[int, ...]],
+    best: _Argmax,
+    rest: int = 0,
 ) -> tuple[int, list[int]]:
-    """Pointwise-optimal response to a fixed partition.
+    """Pointwise-optimal response to the last player's cells.
 
-    Returns the total count of winning pairs (over 2^(2n) tuples) and the
-    first player's argmax table, ties broken toward the lowest family index.
+    For each point x the last player wins exactly on the union of the cells of
+    the members containing x (members[x]); `rest` adds points still unassigned.
+    Returns the summed best counts and the picked mask index per x.
     """
-    sets = family.sets
     total = 0
-    f1 = []
-    for rm in rmasks:
-        u = 0
-        i = 0
-        m = rm
-        while m:
-            if m & 1:
-                u |= cells[i]
-            m >>= 1
-            i += 1
-        best = -1
-        best_i = 0
-        for j, w in enumerate(sets):
-            c = (w & u).bit_count()
-            if c > best:
-                best = c
-                best_i = j
-        total += best
-        f1.append(best_i)
-    return total, f1
+    picks = []
+    for mem in members:
+        u = rest
+        for i in mem:
+            u |= cells[i]
+        c, bi = best(u)
+        total += c
+        picks.append(bi)
+    return total, picks
+
+
+def _scan_last_player(
+    r: int, entries: int, members: list[tuple[int, ...]], best: _Argmax
+) -> tuple[int, tuple[int, ...]]:
+    """The first last-player table, in product order, with the largest best-response total."""
+    top, top_table = -1, None
+    for table in product(range(r), repeat=entries):
+        cells = [0] * r
+        for x, i in enumerate(table):
+            cells[i] |= 1 << x
+        total = _best_response(cells, members, best)[0]
+        if total > top:
+            top, top_table = total, table
+    assert top_table is not None
+    return top, top_table
 
 
 def best_response_value(partition: PartitionView, family: WinningFamily) -> Fraction:
@@ -117,21 +139,15 @@ def best_response_value(partition: PartitionView, family: WinningFamily) -> Frac
             f"partition has {len(partition.cells)} cells, family has r={family.r}"
         )
     partition.validate()
-    total, _ = _best_response_total(partition.cells, family, _response_masks(family))
+    members = [family.indices_containing(x) for x in range(1 << family.n)]
+    total, _ = _best_response(partition.cells, members, _argmax(family.sets))
     return Fraction(total, 1 << (2 * family.n))
 
 
 def _exact_p1(family: WinningFamily) -> SolveResult:
-    best_i = 0
-    best = -1
-    for i, w in enumerate(family.sets):
-        c = w.bit_count()
-        if c > best:
-            best = c
-            best_i = i
-    value = Fraction(best, 1 << family.n)
+    best, best_i = _argmax(family.sets)((1 << (1 << family.n)) - 1)
     return SolveResult(
-        value=value,
+        value=Fraction(best, 1 << family.n),
         witness=constant_strategy(family, 1, best_i),
         method="exhaustive",
         work=family.r,
@@ -149,61 +165,22 @@ def _exact_forced(family: WinningFamily, t: int) -> SolveResult:
     )
 
 
-def _exact_p2_enumerate(family: WinningFamily, threads: int) -> SolveResult:
+def _exact_p2_enumerate(family: WinningFamily) -> SolveResult:
     n, r = family.n, family.r
     size = 1 << n
-    rmasks = _response_masks(family)
-    tables = list(product(range(r), repeat=size))
-
-    def scan(chunk: list[tuple[int, ...]]) -> tuple[int, tuple[int, ...] | None]:
-        best = -1
-        best_table = None
-        cells = [0] * r
-        for table in chunk:
-            for i in range(r):
-                cells[i] = 0
-            for x, fi in enumerate(table):
-                cells[fi] |= 1 << x
-            total = 0
-            for rm in rmasks:
-                u = 0
-                m = rm
-                i = 0
-                while m:
-                    if m & 1:
-                        u |= cells[i]
-                    m >>= 1
-                    i += 1
-                b = 0
-                for w in family.sets:
-                    c = (w & u).bit_count()
-                    if c > b:
-                        b = c
-                total += b
-            if total > best:
-                best = total
-                best_table = table
-        return best, best_table
-
-    results = ordered_map(scan, chunked(tables, threads * 8), threads)
-    best, best_table = -1, None
-    for total, table in results:
-        if total > best:
-            best, best_table = total, table
-    assert best_table is not None
-    total, f1 = _best_response_total(
-        partition_from_table(best_table, r, n).cells, family, rmasks
-    )
-    witness = Strategy(n=n, t=2, tables=(tuple(f1), best_table))
+    members = [family.indices_containing(x) for x in range(size)]
+    best = _argmax(family.sets)
+    total, table = _scan_last_player(r, size, members, best)
+    _, f1 = _best_response(partition_from_table(table, r, n).cells, members, best)
     return SolveResult(
-        value=Fraction(best, 1 << (2 * n)),
-        witness=witness,
+        value=Fraction(total, 1 << (2 * n)),
+        witness=Strategy(n=n, t=2, tables=(tuple(f1), table)),
         method="best-response-exact",
-        work=len(tables),
+        work=r ** size,
     )
 
 
-def _exact_p2_branch_bound(family: WinningFamily, threads: int) -> SolveResult:
+def _exact_p2_branch_bound(family: WinningFamily) -> SolveResult:
     """Exact t=2 optimum for table spaces too large to enumerate.
 
     Depth-first over f_2 entries with an admissible bound: unassigned points
@@ -214,32 +191,14 @@ def _exact_p2_branch_bound(family: WinningFamily, threads: int) -> SolveResult:
     """
     n, r = family.n, family.r
     size = 1 << n
-    rmasks = _response_masks(family)
+    members = [family.indices_containing(x) for x in range(size)]
+    best = _argmax(family.sets)
     full = (1 << size) - 1
 
-    seed_result = local_search_p(2, n, family.kind, seed=0, restarts=16, threads=threads)
+    seed_result = local_search_p(2, n, family.kind, seed=0, restarts=16)
     incumbent = int(seed_result.value * (1 << (2 * n)))
     incumbent_table: tuple[int, ...] | None = None
     work = 0
-
-    def bound(cells: list[int], rest: int) -> int:
-        tot = 0
-        for rm in rmasks:
-            u = rest
-            m = rm
-            i = 0
-            while m:
-                if m & 1:
-                    u |= cells[i]
-                m >>= 1
-                i += 1
-            b = 0
-            for w in family.sets:
-                c = (w & u).bit_count()
-                if c > b:
-                    b = c
-            tot += b
-        return tot
 
     cells = [0] * r
     assignment = [0] * size
@@ -247,14 +206,12 @@ def _exact_p2_branch_bound(family: WinningFamily, threads: int) -> SolveResult:
     def rec(x: int) -> None:
         nonlocal incumbent, incumbent_table, work
         work += 1
-        rest = full ^ ((1 << x) - 1)
-        if bound(cells, rest) <= incumbent:
+        bound = _best_response(cells, members, best, full ^ ((1 << x) - 1))[0]
+        if bound <= incumbent:
             return
         if x == size:
-            total = bound(cells, 0)
-            if total > incumbent:
-                incumbent = total
-                incumbent_table = tuple(assignment)
+            # nothing is unassigned, so the bound is this table's exact total
+            incumbent, incumbent_table = bound, tuple(assignment)
             return
         for v in range(r):
             cells[v] |= 1 << x
@@ -266,8 +223,8 @@ def _exact_p2_branch_bound(family: WinningFamily, threads: int) -> SolveResult:
     if incumbent_table is None:
         # local search already found the optimum; rebuild its table
         incumbent_table = seed_result.witness.tables[1]
-    total, f1 = _best_response_total(
-        partition_from_table(incumbent_table, r, n).cells, family, rmasks
+    total, f1 = _best_response(
+        partition_from_table(incumbent_table, r, n).cells, members, best
     )
     witness = Strategy(n=n, t=2, tables=(tuple(f1), incumbent_table))
     return SolveResult(
@@ -300,7 +257,7 @@ def _two_player_winning_masks(family: WinningFamily) -> list[tuple[int, tuple, t
     return [(w, reps[w][0], reps[w][1]) for w in sorted(reps)]
 
 
-def _exact_p3(family: WinningFamily, threads: int) -> SolveResult:
+def _exact_p3(family: WinningFamily) -> SolveResult:
     n, r = family.n, family.r
     size = 1 << n
     pair_space = 1 << (2 * n)
@@ -309,87 +266,28 @@ def _exact_p3(family: WinningFamily, threads: int) -> SolveResult:
             f"t=3 exact solving supports n=2 (r={r} gives {r ** pair_space} last-player tables)"
         )
     wlist = _two_player_winning_masks(family)
-    rmasks = _response_masks(family)
-    masks = [w for w, _, _ in wlist]
-
-    cache: dict[int, tuple[int, int]] = {}
-
-    def best_against(u: int) -> tuple[int, int]:
-        hit = cache.get(u)
-        if hit is None:
-            b, bi = -1, 0
-            for i, w in enumerate(masks):
-                c = (w & u).bit_count()
-                if c > b:
-                    b, bi = c, i
-            hit = cache[u] = (b, bi)
-        return hit
-
-    tables = list(product(range(r), repeat=pair_space))
-
-    def scan(chunk) -> tuple[int, tuple | None]:
-        best, best_table = -1, None
-        cells = [0] * r
-        for table in chunk:
-            for i in range(r):
-                cells[i] = 0
-            for x, fi in enumerate(table):
-                cells[fi] |= 1 << x
-            total = 0
-            for rm in rmasks:
-                u = 0
-                m = rm
-                i = 0
-                while m:
-                    if m & 1:
-                        u |= cells[i]
-                    m >>= 1
-                    i += 1
-                total += best_against(u)[0]
-            if total > best:
-                best, best_table = total, table
-        return best, best_table
-
-    results = ordered_map(scan, chunked(tables, threads * 8), threads)
-    best, best_table = -1, None
-    for total, table in results:
-        if total > best:
-            best, best_table = total, table
-    assert best_table is not None
+    members = [family.indices_containing(x) for x in range(size)]
+    best = _argmax([w for w, _, _ in wlist])
+    total, table = _scan_last_player(r, pair_space, members, best)
 
     # rebuild a full three-player witness from the per-x3 best two-player sets
-    cells = [0] * r
-    for x, fi in enumerate(best_table):
-        cells[fi] |= 1 << x
+    _, picks = _best_response(partition_from_table(table, r, 2 * n).cells, members, best)
     f1_table = [0] * pair_space  # player 1 sees (x2, x3)
     f2_table = [0] * pair_space  # player 2 sees (x1, x3)
-    for x3 in range(size):
-        rm = rmasks[x3]
-        u = 0
-        i = 0
-        m = rm
-        while m:
-            if m & 1:
-                u |= cells[i]
-            m >>= 1
-            i += 1
-        _, wi = best_against(u)
+    for x3, wi in enumerate(picks):
         _, g1, g2 = wlist[wi]
-        for x2 in range(size):
-            f1_table[(x2 << n) | x3] = g1[x2]
-        for x1 in range(size):
-            f2_table[(x1 << n) | x3] = g2[x1]
-    witness = Strategy(
-        n=n, t=3, tables=(tuple(f1_table), tuple(f2_table), best_table)
-    )
-    value = Fraction(best, 1 << (3 * n))
+        for x in range(size):
+            f1_table[(x << n) | x3] = g1[x]
+            f2_table[(x << n) | x3] = g2[x]
+    witness = Strategy(n=n, t=3, tables=(tuple(f1_table), tuple(f2_table), table))
+    value = Fraction(total, 1 << (3 * n))
     check = success_probability(witness, family)
     if check != value:
         raise AssertionError(
             f"t=3 witness re-evaluates to {check}, engine claimed {value}"
         )
     return SolveResult(
-        value=value, witness=witness, method="best-response-exact", work=len(tables)
+        value=value, witness=witness, method="best-response-exact", work=r ** pair_space
     )
 
 
@@ -406,7 +304,8 @@ def exact_p(
     Supported budgets: t=1 (any enumerable family); n=1 (any t up to 20);
     t=2 up to r^(2^n) <= 70000 second-player tables (n <= 3 for the three
     standard kinds), plus a branch-and-bound stretch for larger t=2 spaces
-    and the t=3, n=2 engine, both behind allow_slow.
+    and the t=3, n=2 engine, both behind allow_slow. `threads` is accepted
+    for compatibility and has no effect.
     """
     if t < 1:
         raise UnsupportedSizeError(f"need t >= 1, got t={t}")
@@ -420,9 +319,9 @@ def exact_p(
     if t == 2:
         n_tables = family.r ** (1 << n)
         if n_tables <= MAX_P2_TABLES:
-            return _exact_p2_enumerate(family, threads)
+            return _exact_p2_enumerate(family)
         if allow_slow and n <= 4:
-            return _exact_p2_branch_bound(family, threads)
+            return _exact_p2_branch_bound(family)
         raise UnsupportedSizeError(
             f"t=2 exact solving enumerates {n_tables} tables for (n={n}, {kind}), "
             f"over the {MAX_P2_TABLES} budget; pass allow_slow=True (n <= 4) "
@@ -433,7 +332,7 @@ def exact_p(
             raise UnsupportedSizeError(
                 "t=3 exact solving is gated behind allow_slow=True"
             )
-        return _exact_p3(family, threads)
+        return _exact_p3(family)
     raise UnsupportedSizeError(
         f"exact_p has no engine for (t={t}, n={n}, {kind}); use local_search_p"
     )
@@ -457,8 +356,11 @@ def local_search_p(
 
     Lower-bound certificate generator: the returned value is the exact
     success probability of the returned witness, never an estimate.
-    Deterministic for a fixed seed, independent of thread count.
+    Deterministic for a fixed seed; `threads` is accepted for compatibility
+    and has no effect.
     """
+    if restarts < 1:
+        raise ValueError(f"need restarts >= 1, got {restarts}")
     if t < 2:
         raise UnsupportedSizeError("local search needs t >= 2; t=1 is exact anyway")
     if n * (t - 1) > MAX_TABLE_INPUT_BITS:
@@ -476,6 +378,7 @@ def local_search_p(
 
     def ascend(restart: int) -> tuple[Fraction, Strategy, int]:
         rng = random.Random(_restart_seed(seed, restart))
+        best = _argmax(sets)
         tables = [
             [rng.randrange(family.r) for _ in range(entries)] for _ in range(t)
         ]
@@ -500,18 +403,14 @@ def local_search_p(
                                 break
                         if ok:
                             consistent |= 1 << xi
-                    best, best_j = -1, 0
-                    for j, w in enumerate(sets):
-                        c = (w & consistent).bit_count()
-                        if c > best:
-                            best, best_j = c, j
+                    best_j = best(consistent)[1]
                     if tables[i][vis] != best_j:
                         tables[i][vis] = best_j
                         changed = True
         strategy = Strategy(n=n, t=t, tables=tuple(tuple(tb) for tb in tables))
         return success_probability(strategy, family), strategy, sweeps
 
-    results = ordered_map(ascend, list(range(restarts)), threads)
+    results = [ascend(restart) for restart in range(restarts)]
     best_value, best_strategy, _ = results[0]
     for value, strategy, _ in results[1:]:
         if value > best_value:
@@ -527,10 +426,13 @@ def local_search_p(
 def dominance_chain(
     t: int, n: int, *, allow_slow: bool = False, threads: int = 1
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """(p_dict, p_intersecting, p_monotone) at (t, n), checked non-decreasing."""
-    p_dict = exact_p(t, n, "dictator", allow_slow=allow_slow, threads=threads).value
-    p_int = exact_p(t, n, "intersecting", allow_slow=allow_slow, threads=threads).value
-    p_mono = exact_p(t, n, "monotone", allow_slow=allow_slow, threads=threads).value
+    """(p_dict, p_intersecting, p_monotone) at (t, n), checked non-decreasing.
+
+    `threads` is accepted for compatibility and has no effect.
+    """
+    p_dict = exact_p(t, n, "dictator", allow_slow=allow_slow).value
+    p_int = exact_p(t, n, "intersecting", allow_slow=allow_slow).value
+    p_mono = exact_p(t, n, "monotone", allow_slow=allow_slow).value
     if not p_dict <= p_int <= p_mono:
         raise RuntimeError(
             f"dominance chain violated at (t={t}, n={n}): "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -311,6 +312,50 @@ def test_family_json_round_trip_product():
     assert back.tuples == family.tuples
     assert back.blocker_count == family.blocker_count
     assert back.beta == family.beta
+
+
+def _family_doc(**changes) -> dict:
+    """A valid explicit t=2, n=4 family document with one blocker, then `changes`."""
+    doc = json.loads(family_to_json(base_blockers(4)))
+    doc.update(t=2, k=2, blockers=[[0x0F, 0xF0]])
+    doc.update(changes)
+    return doc
+
+
+def test_family_json_rejects_point_index_out_of_range():
+    family_from_json(json.dumps(_family_doc()))  # the unmodified document decodes
+    # 999999 used to be masked into a different point of B^2
+    for bad in (999999, 256, -1):
+        with pytest.raises(ValueError, match="2\\^8"):
+            family_from_json(json.dumps(_family_doc(blockers=[[0x0F, bad]])))
+
+
+def test_family_json_rejects_blocker_of_wrong_length():
+    with pytest.raises(ValueError, match="expected k=2"):
+        family_from_json(json.dumps(_family_doc(blockers=[[0x0F, 0xF0, 0x11]])))
+
+
+def test_family_json_rejects_product_entry_out_of_range():
+    doc = json.loads(family_to_json(construct_blockers(16, seed=7, delta=0.8)))
+    family_from_json(json.dumps(doc))
+    doc["product"]["tuples"][0][0] = 1 << 16
+    with pytest.raises(ValueError, match="2\\^16"):
+        family_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("t,n", [(3, 4), (2, 17)])
+def test_family_json_rejects_unsupported_t_or_n(t, n):
+    # decoding a point costs O(n * t); only t <= 2 dictator-sized n are built here
+    with pytest.raises(ValueError, match="need t <= 2"):
+        family_from_json(json.dumps(_family_doc(t=t, n=n)))
+
+
+@pytest.mark.parametrize("key", ["t", "n", "k", "beta", "blockers"])
+def test_family_json_rejects_missing_key(key):
+    doc = _family_doc()
+    del doc[key]
+    with pytest.raises(ValueError, match="lacks"):
+        family_from_json(json.dumps(doc))
 
 
 # --- graph blockers ---------------------------------------------------------

@@ -272,6 +272,46 @@ def test_usage_error_exits_2():
     assert run_cli("blocker", "bound", "--k", "2", "--beta", "x/y").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "name,data",
+    [
+        ("vertex_out_of_range.txt", b"2\n0: 5\n"),
+        ("truncated.hlg", b"HLG1" + (1000).to_bytes(4, "little") + b"\x01"),
+    ],
+    ids=["text", "binary"],
+)
+def test_graph_import_malformed_exits_2(tmp_path, name, data):
+    f = tmp_path / name
+    f.write_bytes(data)
+    res = run_cli("graph", "import", "--file", str(f))
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "change,drop",
+    [({"blockers": [[15, 999999]]}, None), ({"blockers": [[15]]}, None), ({}, "k")],
+    ids=["index-out-of-range", "wrong-length", "missing-k"],
+)
+def test_blocker_verify_malformed_exits_2(tmp_path, change, drop):
+    doc = {"t": 2, "n": 4, "k": 2, "beta": "1/128", "seed": None,
+           "certified": True, "stalled": False, "blockers": [[15, 240]], **change}
+    doc.pop(drop, None)
+    f = tmp_path / "fam.json"
+    f.write_text(json.dumps(doc))
+    res = run_cli("blocker", "verify", "--file", str(f))
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+
+
+def test_search_without_restarts_exits_2():
+    res = run_cli("solve", "--t", "2", "--n", "2", "--mode", "search", "--restarts", "0")
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+
+
 def test_unsupported_size_exits_3():
     res = run_cli("solve", "--t", "2", "--n", "6", "--family", "dict")
     assert res.returncode == 3

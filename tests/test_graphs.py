@@ -345,3 +345,40 @@ def test_binary_format_golden_bytes():
     # little-endian with the diagonal bit marking the loop.
     data = graph_to_bytes(kneser(1))
     assert data == b"HLG1" + (2).to_bytes(4, "little") + bytes([0b11, 0b01])
+
+
+# --- malformed input ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2\n0: 5\n", "2\n5: 0\n", "2\n0: -1\n", "2\n-1: 0\n"],
+    ids=["right-5", "left-5", "right-neg", "left-neg"],
+)
+def test_text_vertex_out_of_range_rejected(text):
+    # either side of the colon; -1 used to index the last vertex silently
+    with pytest.raises(ValueError, match="outside"):
+        graph_from_text(text)
+
+
+def test_binary_length_mismatch_rejected():
+    data = graph_to_bytes(kneser(3))
+    with pytest.raises(ValueError, match="bytes"):
+        graph_from_bytes(b"HLG1" + (1000).to_bytes(4, "little") + b"\x01")
+    for bad in (data[:-1], data + b"\x00"):
+        with pytest.raises(ValueError, match="bytes"):
+            graph_from_bytes(bad)
+
+
+def test_binary_bit_beyond_vcount_rejected():
+    # 3 vertices in one byte per row; bit 5 of row 0 names no vertex
+    data = b"HLG1" + (3).to_bytes(4, "little") + bytes([0b100000, 0, 0])
+    with pytest.raises(ValueError, match="at or above"):
+        graph_from_bytes(data)
+
+
+def test_binary_asymmetric_rows_rejected():
+    # row 0 has the edge 0-1, row 1 does not
+    data = b"HLG1" + (2).to_bytes(4, "little") + bytes([0b10, 0b00])
+    with pytest.raises(ValueError, match="symmetric"):
+        graph_from_bytes(data)

@@ -1,0 +1,203 @@
+"""Property tests: codec round trips, and malformed input that is either
+rejected with ValueError or decoded to a valid object, never anything else."""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hatlab.blockers import (
+    BlockerFamily,
+    base_blockers,
+    construct_blockers,
+    family_from_json,
+    family_to_json,
+)
+from hatlab.game import tuple_from_index, tuple_index
+from hatlab.graphs import (
+    Graph,
+    graph_from_bytes,
+    graph_from_text,
+    graph_to_bytes,
+    graph_to_text,
+    random_graph,
+)
+
+# derandomized and bounded, so tier-1 stays deterministic and fast
+bounded = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+# --- strategies ---------------------------------------------------------------
+
+
+@st.composite
+def graphs(draw) -> Graph:
+    """random_graph with an arbitrary set of self-loops on top."""
+    g = random_graph(draw(st.integers(0, 20)), draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+                     draw(st.integers(0, 1000)))
+    loops = tuple(draw(st.lists(st.booleans(), min_size=g.vcount, max_size=g.vcount)))
+    return Graph(g.vcount, g.adj, loops, g.label)
+
+
+@st.composite
+def product_families(draw) -> BlockerFamily:
+    n = draw(st.integers(4, 10))
+    ys = draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=24))
+    tuples = tuple(tuple(ys[i : i + 6]) for i in range(0, len(ys) - 5, 6))
+    beta = Fraction(6 * len(tuples), 1 << n)
+    return BlockerFamily(t=2, n=n, k=12, beta=beta, seed=draw(st.integers(0, 99)),
+                         tuples=tuples)
+
+
+@st.composite
+def explicit_families(draw) -> BlockerFamily:
+    if draw(st.booleans()):
+        return base_blockers(draw(st.integers(1, 6)))
+    family = construct_blockers(draw(st.integers(4, 6)), draw(st.integers(0, 99)), 0.5)
+    family.materialize()
+    return family
+
+
+families = st.one_of(explicit_families(), product_families())
+
+# replacement values for one field of a family document
+junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 1 << 70), st.floats(allow_nan=True),
+    st.text(max_size=4), st.sampled_from(["1/0", "x/2", "3", "1/6"]),
+    st.lists(st.integers(-2, 300), max_size=3), st.dictionaries(st.text(max_size=2), st.integers()),
+)
+
+
+def assert_valid_graph(g: Graph) -> None:
+    assert len(g.adj) == len(g.self_loop) == g.vcount
+    for u, row in enumerate(g.adj):
+        assert row >> g.vcount == 0 and not row >> u & 1
+        assert all(g.adj[v] >> u & 1 for v in range(g.vcount) if row >> v & 1)
+
+
+def assert_valid_family(family: BlockerFamily) -> None:
+    """Every point in range, every blocker of size k, and a lossless re-encoding."""
+    if family.blockers is not None:
+        for b in family.blockers:
+            assert b.k == family.k
+            assert all(len(p) == family.t for p in b.points)
+            assert all(0 <= x < 1 << family.n for p in b.points for x in p)
+    else:
+        assert family.t == 2
+        for tp in family.tuples:
+            assert 2 * len(set(tp)) == family.k
+            assert all(0 <= y < 1 << family.n for y in tp)
+    text = family_to_json(family)
+    assert family_to_json(family_from_json(text)) == text
+
+
+# --- round trips --------------------------------------------------------------
+
+
+@bounded
+@given(st.integers(1, 8), st.integers(1, 4), st.data())
+def test_tuple_codec_round_trip(n, t, data):
+    points = tuple(data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=t, max_size=t)))
+    idx = tuple_index(points, n)
+    assert 0 <= idx < 1 << (n * t)
+    assert tuple_from_index(idx, n, t) == points
+
+
+@bounded
+@given(graphs())
+def test_graph_text_round_trip(g):
+    back = graph_from_text(graph_to_text(g))
+    assert (back.vcount, back.adj, back.self_loop) == (g.vcount, g.adj, g.self_loop)
+
+
+@bounded
+@given(graphs())
+def test_graph_bytes_round_trip(g):
+    back = graph_from_bytes(graph_to_bytes(g))
+    assert (back.vcount, back.adj, back.self_loop) == (g.vcount, g.adj, g.self_loop)
+
+
+@bounded
+@given(families)
+def test_family_json_round_trip(family):
+    back = family_from_json(family_to_json(family))
+    assert (back.t, back.n, back.k, back.beta, back.seed) == (
+        family.t, family.n, family.k, family.beta, family.seed)
+    if family.blockers is not None:
+        assert [b.points for b in back.blockers] == [b.points for b in family.blockers]
+    else:
+        assert back.tuples == family.tuples
+    assert_valid_family(back)
+
+
+# --- malformed input ----------------------------------------------------------
+
+
+@bounded
+@given(graphs(), st.data())
+def test_damaged_graph_bytes_rejected_or_valid(g, data):
+    raw = bytearray(graph_to_bytes(g))
+    if data.draw(st.booleans()):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+        raw[bit // 8] ^= 1 << (bit % 8)
+    try:
+        back = graph_from_bytes(bytes(raw))
+    except ValueError:
+        return
+    assert_valid_graph(back)
+
+
+@bounded
+@given(graphs(), st.data())
+def test_damaged_graph_text_rejected_or_valid(g, data):
+    text = graph_to_text(g)
+    pos = data.draw(st.integers(0, len(text) - 1))
+    text = text[:pos] + data.draw(st.sampled_from("0123456789-: \nx")) + text[pos + 1 :]
+    try:
+        back = graph_from_text(text)
+    except ValueError:
+        return
+    assert_valid_graph(back)
+
+
+@bounded
+@given(families, st.data())
+def test_mutated_family_json_rejected_or_valid(family, data):
+    doc = json.loads(family_to_json(family))
+    # one field of the document, of a blocker, of the product or of one tuple
+    containers = [doc, *doc.get("blockers", [])]
+    if "product" in doc:
+        containers += [doc["product"], doc["product"]["tuples"], *doc["product"]["tuples"]]
+    target = data.draw(st.sampled_from([c for c in containers if c]))
+    keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+    key = data.draw(st.sampled_from(keys))
+    if data.draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = data.draw(junk)
+    try:
+        back = family_from_json(json.dumps(doc))
+    except ValueError:
+        return
+    assert_valid_family(back)
+
+
+@bounded
+@given(families, st.data())
+def test_damaged_family_text_rejected_or_valid(family, data):
+    text = family_to_json(family)
+    pos = data.draw(st.integers(0, len(text) - 1))
+    if data.draw(st.booleans()):
+        text = text[:pos]
+    else:
+        text = text[:pos] + data.draw(st.sampled_from('09-",[]{}:x')) + text[pos + 1 :]
+    try:
+        back = family_from_json(text)
+    except ValueError:
+        return
+    assert_valid_family(back)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -176,7 +177,7 @@ def test_branch_bound_engine_matches_enumeration():
 
     for n, expected in [(2, P22), (3, P23)]:
         fam = enumerate_family("dictator", n)
-        res = _exact_p2_branch_bound(fam, threads=1)
+        res = _exact_p2_branch_bound(fam)
         assert res.value == expected
 
 
@@ -247,3 +248,76 @@ def test_dominance_chain_values():
     for t, n in [(2, 2), (2, 3)]:
         pd, pi, pm = dominance_chain(t, n)
         assert pd <= pi <= pm
+
+
+# --- pinned witnesses -------------------------------------------------------
+
+# Value, method, work and sha256(repr(witness.tables)) per call, recorded by
+# running these calls on the solver as it stood before its best-response loops
+# were folded into _argmax / _best_response / _scan_last_player. They pin which
+# witness comes back (ties go to the lowest member index and to the first
+# table in product order), not only that it re-evaluates to its value.
+PINNED_WITNESSES = [
+    (("exact_p", 1, 3, "dictator"), "1/2", "exhaustive", 3,
+     "efd70b49446e8be6bedf3dfe219a88a352831f684dce5d48505e29b260989f2b"),
+    (("exact_p", 1, 3, "intersecting"), "1/2", "exhaustive", 4,
+     "efd70b49446e8be6bedf3dfe219a88a352831f684dce5d48505e29b260989f2b"),
+    (("exact_p", 1, 3, "monotone"), "1/2", "exhaustive", 4,
+     "efd70b49446e8be6bedf3dfe219a88a352831f684dce5d48505e29b260989f2b"),
+    (("exact_p", 2, 1, "dictator"), "1/4", "exhaustive", 1,
+     "221953990bf67664d927a24118a0cc043785fbcda6c4c883e8b6c1079c238f3b"),
+    (("exact_p", 2, 1, "intersecting"), "1/4", "exhaustive", 1,
+     "221953990bf67664d927a24118a0cc043785fbcda6c4c883e8b6c1079c238f3b"),
+    (("exact_p", 2, 1, "monotone"), "1/4", "exhaustive", 1,
+     "221953990bf67664d927a24118a0cc043785fbcda6c4c883e8b6c1079c238f3b"),
+    (("exact_p", 2, 2, "dictator"), "5/16", "best-response-exact", 16,
+     "390f2e14f62145599e1a360b16bb8cf31b2496afb41c294d295d25a61a403442"),
+    (("exact_p", 2, 2, "intersecting"), "5/16", "best-response-exact", 16,
+     "390f2e14f62145599e1a360b16bb8cf31b2496afb41c294d295d25a61a403442"),
+    (("exact_p", 2, 2, "monotone"), "5/16", "best-response-exact", 16,
+     "390f2e14f62145599e1a360b16bb8cf31b2496afb41c294d295d25a61a403442"),
+    (("exact_p", 2, 3, "dictator"), "11/32", "best-response-exact", 6561,
+     "88b5c0bf69017a153851d636842a263c428094ee82730edb630a461a35fc5523"),
+    (("exact_p", 2, 3, "intersecting"), "11/32", "best-response-exact", 65536,
+     "45bf0a1e020814e26219ee14c51e3843da8d27ebe1807c247d89136981c41c6a"),
+    (("exact_p", 2, 3, "monotone"), "11/32", "best-response-exact", 65536,
+     "45bf0a1e020814e26219ee14c51e3843da8d27ebe1807c247d89136981c41c6a"),
+    (("exact_p", 3, 2, "dictator"), "7/32", "best-response-exact", 65536,
+     "0e9aed05b81d1762fc108b6926a0c9353aa74bc084260cd45fa5ac979bd8bdc0"),
+    (("exact_p", 3, 2, "intersecting"), "7/32", "best-response-exact", 65536,
+     "0e9aed05b81d1762fc108b6926a0c9353aa74bc084260cd45fa5ac979bd8bdc0"),
+    (("exact_p", 3, 2, "monotone"), "7/32", "best-response-exact", 65536,
+     "0e9aed05b81d1762fc108b6926a0c9353aa74bc084260cd45fa5ac979bd8bdc0"),
+    (("branch_bound", 2), "5/16", "best-response-exact", 31,
+     "a76de852dc2db0aae095c410ac7165a8554844a26241372af5497b24f014c203"),
+    (("branch_bound", 3), "11/32", "best-response-exact", 7276,
+     "6204f132ae2ede228e6f023f30626bd3837c1428fa20514eee445d10c10d853e"),
+    (("local_search_p", 0), "89/256", "local-search", 91,
+     "04cadd075e5f28f938833b0aa43dcf1e0d678935374b304fef1d40cf179647e7"),
+    (("local_search_p", 1), "89/256", "local-search", 92,
+     "d613f0d3b474b52d572e1640d965646a60fc8182fbd00f7d7538ad786bcb2070"),
+    (("local_search_p", 2), "89/256", "local-search", 96,
+     "cc6f13414a4d39c43c8b30181a24b811861febdf77dc9f930202df286e7b592a"),
+]
+
+
+def _pinned_call(call):
+    from hatlab.solver import _exact_p2_branch_bound
+
+    engine, *args = call
+    if engine == "exact_p":
+        return exact_p(*args, allow_slow=True)
+    if engine == "branch_bound":
+        return _exact_p2_branch_bound(enumerate_family("dictator", args[0]))
+    return local_search_p(2, 4, "dictator", seed=args[0], restarts=32)
+
+
+@pytest.mark.parametrize(
+    "call,value,method,work,digest",
+    PINNED_WITNESSES,
+    ids=["-".join(map(str, row[0])) for row in PINNED_WITNESSES],
+)
+def test_pinned_witnesses(call, value, method, work, digest):
+    res = _pinned_call(call)
+    assert (str(res.value), res.method, res.work) == (value, method, work)
+    assert hashlib.sha256(repr(res.witness.tables).encode()).hexdigest() == digest
