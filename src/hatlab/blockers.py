@@ -45,6 +45,15 @@ def k_sequence(d: int) -> int:
     return k
 
 
+def parse_beta(text) -> Fraction:
+    """An exact beta from "num/den" or "num"; anything else is a ValueError."""
+    try:
+        num, _, den = text.partition("/")
+        return Fraction(int(num), int(den or 1))
+    except (AttributeError, ZeroDivisionError) as exc:
+        raise ValueError(f"beta must be a fraction string, got {text!r}") from exc
+
+
 def decrement_bound(k: int, beta) -> Fraction:
     """The guaranteed drop in success probability one blocker family buys:
     2^(-2k-2) * beta / k."""
@@ -195,10 +204,6 @@ class BlockerFamily:
     certified: bool = False
 
     MATERIALIZE_LIMIT = 20_000
-
-    @property
-    def is_product_form(self) -> bool:
-        return self.tuples is not None
 
     @property
     def blocker_count(self) -> int:
@@ -476,11 +481,7 @@ def family_from_json(text: str) -> BlockerFamily:
     if t > 2 or n > MAX_DICTATOR_N:
         # the only families built and certified here; also bounds decoding cost
         raise ValueError(f"need t <= 2 and n <= {MAX_DICTATOR_N}, got t={t}, n={n}")
-    try:
-        num, _, den = doc["beta"].partition("/")
-        beta = Fraction(int(num), int(den or 1))
-    except (AttributeError, ZeroDivisionError) as exc:
-        raise ValueError(f"beta must be a fraction string, got {doc['beta']!r}") from exc
+    beta = parse_beta(doc["beta"])
     seed = doc.get("seed")
     stalled, certified = doc.get("stalled", False), doc.get("certified", False)
     if not (seed is None or type(seed) is int) or not all(

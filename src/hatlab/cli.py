@@ -28,6 +28,7 @@ from .blockers import (
     decrement_bound,
     family_from_json,
     family_to_json,
+    parse_beta,
     verify_blocker,
 )
 from .errors import UnsupportedSizeError
@@ -68,7 +69,6 @@ class RunRecord:
     params: dict
     seed: int | None
     result: dict
-    wall_time: float
     version: str = __version__
 
     def to_json(self) -> str:
@@ -189,9 +189,7 @@ def _cmd_alphastar(args: argparse.Namespace) -> tuple[dict, int | None, int]:
 
 def _cmd_blocker(args: argparse.Namespace) -> tuple[dict, int | None, int]:
     if args.blocker_cmd == "bound":
-        num, _, den = args.beta.partition("/")
-        beta = Fraction(int(num), int(den or 1))
-        val = decrement_bound(args.k, beta)
+        val = decrement_bound(args.k, parse_beta(args.beta))
         return dict(frac_fields(val), k=args.k), None, EXIT_OK
     if args.blocker_cmd == "build":
         family = construct_blockers(
@@ -381,7 +379,6 @@ def main(argv: list[str] | None = None) -> int:
         params=_params_of(args),
         seed=seed,
         result=result,
-        wall_time=wall,
     )
     if args.format == "csv":
         print(record.to_csv())

@@ -17,6 +17,7 @@ denominators; no floats appear anywhere in this module.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,6 +47,12 @@ def tuple_from_index(idx: int, n: int, t: int) -> tuple[int, ...]:
         out[i] = idx & mask
         idx >>= n
     return tuple(out)
+
+
+def stream_rng(seed: int, index: int) -> random.Random:
+    """Counter-based stream: draw `index` of run `seed`, order-independent."""
+    digest = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=8).digest()
+    return random.Random(int.from_bytes(digest, "big"))
 
 
 def visible_index(points: tuple[int, ...], i: int, n: int) -> int:

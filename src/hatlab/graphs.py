@@ -137,13 +137,20 @@ def shift_graph(m: int) -> Graph:
     return Graph(vcount, tuple(adj), (False,) * vcount, f"shift({m})")
 
 
+def _check_count(m: int) -> None:
+    if m < 0:
+        raise ValueError(f"need a vertex count >= 0, got {m}")
+
+
 def complete_graph(m: int) -> Graph:
+    _check_count(m)
     full = (1 << m) - 1
     adj = tuple(full ^ (1 << v) for v in range(m))
     return Graph(m, adj, (False,) * m, f"complete({m})")
 
 
 def edgeless_graph(m: int) -> Graph:
+    _check_count(m)
     return Graph(m, (0,) * m, (False,) * m, f"edgeless({m})")
 
 
@@ -151,6 +158,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with edges drawn pair-by-pair from random.Random(seed)."""
     if not 0 <= p <= 1:
         raise ValueError(f"need 0 <= p <= 1, got {p}")
+    _check_count(n)
     if n > 4096:
         raise UnsupportedSizeError(f"random_graph supports n <= 4096, got {n}")
     rng = random.Random(seed)
@@ -282,6 +290,8 @@ def _verify_independent(g: Graph, set_bits: int) -> None:
 
 def max_independent_set(g: Graph) -> MisResult:
     """Exact maximum independent set via branch and bound. Always exact."""
+    if g.vcount == 0:
+        raise ValueError("the independence ratio of a graph with no vertices is undefined")
     if g.vcount > MAX_MIS_VERTICES:
         raise UnsupportedSizeError(
             f"exact MIS supports up to {MAX_MIS_VERTICES} vertices, got {g.vcount}; "

@@ -8,23 +8,16 @@ only error is sampling error (each sample solves its induced MIS exactly).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedSizeError
-from .game import WinningFamily
+from .game import WinningFamily, stream_rng
 from .graphs import Graph, max_independent_set, mis_size_all_subsets, mis_size_in_subset
 
 EXACT_LIMIT = 20  # subset-DP budget; the advertised contract is vcount <= 16
-
-
-def _stream_rng(seed: int, index: int) -> random.Random:
-    """Counter-based stream: sample `index` of run `seed`, order-independent."""
-    digest = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
 
 
 def sample_Rv(family: WinningFamily, seed: int) -> tuple[int, tuple[int, ...]]:
@@ -44,7 +37,7 @@ class SubsetSample:
 
 
 def sample_binomial_subset(nbits: int, seed: int, index: int = 0) -> SubsetSample:
-    w = _stream_rng(seed, index).getrandbits(nbits)
+    w = stream_rng(seed, index).getrandbits(nbits)
     return SubsetSample(bits=w, origin="binomial")
 
 
@@ -88,7 +81,7 @@ def check_Rv_statistics(
 
     counts = [0] * r
     for s in range(samples):
-        rng = _stream_rng(seed, s)
+        rng = stream_rng(seed, s)
         v = rng.randrange(size)
         for i, w in enumerate(family.sets):
             if w >> v & 1:
@@ -136,8 +129,14 @@ def sample_induced_subset(
     return SubsetSample(bits=w, origin="family-induced", v=v)
 
 
+def _check_vertices(g: Graph) -> None:
+    if g.vcount == 0:
+        raise ValueError("alpha** of a graph with no vertices is undefined")
+
+
 def alpha_star_star_exact(g: Graph) -> Fraction:
     """E_W[ max independent subset of W ] / vcount, by full enumeration."""
+    _check_vertices(g)
     if g.vcount > EXACT_LIMIT:
         raise UnsupportedSizeError(
             f"exact alpha** enumerates 2^{g.vcount} subsets; budget is "
@@ -162,6 +161,7 @@ def alpha_star_star_mc(
 
     `threads` is accepted for compatibility and has no effect.
     """
+    _check_vertices(g)
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     s1 = s2 = 0

@@ -1,16 +1,14 @@
 """Exact and heuristic optimization of the game's success probability.
 
-The two-player exact engine enumerates only the second player's table and
-answers the first player pointwise-optimally, which collapses the search
-space from r^(2*2^n) to r^(2^n). The three-player engine applies the same
-reduction one level up: it enumerates the last player's table and best-responds
-with an entire two-player winning set per visible point.
+One exact engine serves t=2 and t=3: it enumerates only the last player's
+table and, for each point x_t, answers with the best winning set of the
+(t-1)-player game, which collapses the t=2 search space from r^(2*2^n) to
+r^(2^n). A branch and bound over the same best response covers larger t=2
+table spaces.
 """
 
 from __future__ import annotations
 
-import hashlib
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -22,12 +20,14 @@ from .game import (
     WinningFamily,
     constant_strategy,
     enumerate_family,
+    stream_rng,
     success_probability,
     tuple_from_index,
     visible_index,
+    winning_set,
 )
 
-MAX_P2_TABLES = 70_000
+MAX_LAST_PLAYER_TABLES = 70_000
 MAX_TABLE_INPUT_BITS = 16
 MAX_EVAL_BITS = 20
 
@@ -165,18 +165,38 @@ def _exact_forced(family: WinningFamily, t: int) -> SolveResult:
     )
 
 
-def _exact_p2_enumerate(family: WinningFamily) -> SolveResult:
+def _exact_last_player(family: WinningFamily, t: int) -> SolveResult:
+    """Exact t=2 or t=3 optimum by enumerating the last player's table.
+
+    For each x_t the other players answer with the best distinct winning set
+    of the (t-1)-player game, ties to the smallest mask; each set keeps its
+    first strategy in product order, which rebuilds players 1..t-1.
+    """
     n, r = family.n, family.r
-    size = 1 << n
-    members = [family.indices_containing(x) for x in range(size)]
-    best = _argmax(family.sets)
-    total, table = _scan_last_player(r, size, members, best)
-    _, f1 = _best_response(partition_from_table(table, r, n).cells, members, best)
+    entries = 1 << (n * (t - 1))
+    reps: dict[int, tuple[tuple[int, ...], ...]] = {}
+    for tables in product(product(range(r), repeat=entries >> n), repeat=t - 1):
+        inner = Strategy(n=n, t=t - 1, tables=tables)
+        reps.setdefault(winning_set(inner, family).bits, tables)
+    wins = sorted(reps)
+    members = [family.indices_containing(x) for x in range(1 << n)]
+    best = _argmax(wins)
+    total, table = _scan_last_player(r, entries, members, best)
+    cells = partition_from_table(table, r, n * (t - 1)).cells
+    rebuilt = [[0] * entries for _ in range(t - 1)]
+    for xt, wi in enumerate(_best_response(cells, members, best)[1]):
+        for j, inner_table in enumerate(reps[wins[wi]]):
+            for seen, choice in enumerate(inner_table):
+                rebuilt[j][seen << n | xt] = choice
+    witness = Strategy(n=n, t=t, tables=(*map(tuple, rebuilt), table))
+    value = Fraction(total, 1 << (t * n))
+    check = success_probability(witness, family)
+    if check != value:
+        raise AssertionError(
+            f"t={t} witness re-evaluates to {check}, engine claimed {value}"
+        )
     return SolveResult(
-        value=Fraction(total, 1 << (2 * n)),
-        witness=Strategy(n=n, t=2, tables=(tuple(f1), table)),
-        method="best-response-exact",
-        work=r ** size,
+        value=value, witness=witness, method="best-response-exact", work=r ** entries
     )
 
 
@@ -235,62 +255,6 @@ def _exact_p2_branch_bound(family: WinningFamily) -> SolveResult:
     )
 
 
-def _two_player_winning_masks(family: WinningFamily) -> list[tuple[int, tuple, tuple]]:
-    """All distinct two-player winning sets as masks over B^2.
-
-    Each mask carries its lexicographically first (f1, f2) table pair so a
-    witness strategy can be rebuilt later.
-    """
-    n, r = family.n, family.r
-    size = 1 << n
-    sets = family.sets
-    reps: dict[int, tuple[tuple, tuple]] = {}
-    for f1 in product(range(r), repeat=size):
-        for f2 in product(range(r), repeat=size):
-            w = 0
-            for x1 in range(size):
-                w1 = sets[f2[x1]]
-                for x2 in range(size):
-                    if (sets[f1[x2]] >> x1 & 1) and (w1 >> x2 & 1):
-                        w |= 1 << ((x1 << n) | x2)
-            reps.setdefault(w, (f1, f2))
-    return [(w, reps[w][0], reps[w][1]) for w in sorted(reps)]
-
-
-def _exact_p3(family: WinningFamily) -> SolveResult:
-    n, r = family.n, family.r
-    size = 1 << n
-    pair_space = 1 << (2 * n)
-    if r ** size > 300 or r ** pair_space > 70_000:
-        raise UnsupportedSizeError(
-            f"t=3 exact solving supports n=2 (r={r} gives {r ** pair_space} last-player tables)"
-        )
-    wlist = _two_player_winning_masks(family)
-    members = [family.indices_containing(x) for x in range(size)]
-    best = _argmax([w for w, _, _ in wlist])
-    total, table = _scan_last_player(r, pair_space, members, best)
-
-    # rebuild a full three-player witness from the per-x3 best two-player sets
-    _, picks = _best_response(partition_from_table(table, r, 2 * n).cells, members, best)
-    f1_table = [0] * pair_space  # player 1 sees (x2, x3)
-    f2_table = [0] * pair_space  # player 2 sees (x1, x3)
-    for x3, wi in enumerate(picks):
-        _, g1, g2 = wlist[wi]
-        for x in range(size):
-            f1_table[(x << n) | x3] = g1[x]
-            f2_table[(x << n) | x3] = g2[x]
-    witness = Strategy(n=n, t=3, tables=(tuple(f1_table), tuple(f2_table), table))
-    value = Fraction(total, 1 << (3 * n))
-    check = success_probability(witness, family)
-    if check != value:
-        raise AssertionError(
-            f"t=3 witness re-evaluates to {check}, engine claimed {value}"
-        )
-    return SolveResult(
-        value=value, witness=witness, method="best-response-exact", work=r ** pair_space
-    )
-
-
 def exact_p(
     t: int,
     n: int,
@@ -302,10 +266,11 @@ def exact_p(
     """Exact optimum success probability with an optimal witness strategy.
 
     Supported budgets: t=1 (any enumerable family); n=1 (any t up to 20);
-    t=2 up to r^(2^n) <= 70000 second-player tables (n <= 3 for the three
-    standard kinds), plus a branch-and-bound stretch for larger t=2 spaces
-    and the t=3, n=2 engine, both behind allow_slow. `threads` is accepted
-    for compatibility and has no effect.
+    t=2 and t=3 through one last-player engine, up to r^(2^(n(t-1))) <= 70000
+    last-player tables (t=2: n <= 3 for the three standard kinds; t=3: n=2,
+    behind allow_slow); and a branch-and-bound stretch for larger t=2 spaces
+    (n <= 4), also behind allow_slow. `threads` is accepted for
+    compatibility and has no effect.
     """
     if t < 1:
         raise UnsupportedSizeError(f"need t >= 1, got t={t}")
@@ -316,31 +281,24 @@ def exact_p(
         if t > 20:
             raise UnsupportedSizeError(f"n=1 games support t <= 20, got t={t}")
         return _exact_forced(family, t)
-    if t == 2:
-        n_tables = family.r ** (1 << n)
-        if n_tables <= MAX_P2_TABLES:
-            return _exact_p2_enumerate(family)
-        if allow_slow and n <= 4:
-            return _exact_p2_branch_bound(family)
-        raise UnsupportedSizeError(
-            f"t=2 exact solving enumerates {n_tables} tables for (n={n}, {kind}), "
-            f"over the {MAX_P2_TABLES} budget; pass allow_slow=True (n <= 4) "
-            f"or use local_search_p"
-        )
-    if t == 3 and n == 2:
-        if not allow_slow:
+    if t == 2 or (t == 3 and n == 2):
+        if t == 3 and not allow_slow:
             raise UnsupportedSizeError(
                 "t=3 exact solving is gated behind allow_slow=True"
             )
-        return _exact_p3(family)
+        n_tables = family.r ** (1 << (n * (t - 1)))
+        if n_tables <= MAX_LAST_PLAYER_TABLES:
+            return _exact_last_player(family, t)
+        if t == 2 and allow_slow and n <= 4:
+            return _exact_p2_branch_bound(family)
+        raise UnsupportedSizeError(
+            f"t={t} exact solving enumerates {n_tables} tables for (n={n}, {kind}), "
+            f"over the {MAX_LAST_PLAYER_TABLES} budget; pass allow_slow=True "
+            f"(t=2, n <= 4) or use local_search_p"
+        )
     raise UnsupportedSizeError(
         f"exact_p has no engine for (t={t}, n={n}, {kind}); use local_search_p"
     )
-
-
-def _restart_seed(seed: int, restart: int) -> int:
-    digest = hashlib.blake2b(f"{seed}:{restart}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 def local_search_p(
@@ -377,7 +335,7 @@ def local_search_p(
     sets = family.sets
 
     def ascend(restart: int) -> tuple[Fraction, Strategy, int]:
-        rng = random.Random(_restart_seed(seed, restart))
+        rng = stream_rng(seed, restart)
         best = _argmax(sets)
         tables = [
             [rng.randrange(family.r) for _ in range(entries)] for _ in range(t)

@@ -381,3 +381,13 @@ def test_min_graph_blocker_shift_graphs_computed_values():
         for v in witness:
             chosen |= 1 << v
         assert all(s & chosen for s in reference_maximum_independent_sets(g))
+
+
+def test_parse_beta():
+    from hatlab.blockers import parse_beta
+
+    assert parse_beta("1/6") == Fraction(1, 6)
+    assert parse_beta("3") == 3
+    for bad in ("0/0", "1/0", "x/2", None):
+        with pytest.raises(ValueError):
+            parse_beta(bad)

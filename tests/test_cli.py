@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -218,6 +219,35 @@ def test_blocker_verify_reports_counterexample(tmp_path):
     assert "counterexample" in entries[1]
 
 
+# sha256 of the stdout of `solve --witness`, recorded before the t=2 and t=3
+# exact engines were folded into one
+SOLVE_WITNESS_DIGESTS = [
+    ("dict", ("--t", "2", "--n", "3"),
+     "45ff34a22c49b149ad32770673007704282fc5a1d18b6d00c721de1e385cf065"),
+    ("dict", ("--t", "3", "--n", "2", "--allow-slow"),
+     "f12f51dc2a1901267ef640aa674e5bd49318e05f0b962ed06bf8251dbb4fbb21"),
+    ("intersecting", ("--t", "2", "--n", "3"),
+     "78a86c9e8dd1d4ba5d9aa6cc3c4d2f7b9953ddd0d9089a9c92880575610a1e16"),
+    ("intersecting", ("--t", "3", "--n", "2", "--allow-slow"),
+     "e9e4bdf98e29ac3fb5940987a449fa74fdb49254e1bd052d802f442c9a70575c"),
+    ("monotone", ("--t", "2", "--n", "3"),
+     "0dc4bc1216bd5a29f0bc1dad1023f93a4ad6117f50d6cca4b440d69cf6f84da0"),
+    ("monotone", ("--t", "3", "--n", "2", "--allow-slow"),
+     "0be9f9fb7aa58999e1d0bd004bec21a6267dbcc214a756f038100c1222b15765"),
+]
+
+
+@pytest.mark.parametrize(
+    "family,size,digest",
+    SOLVE_WITNESS_DIGESTS,
+    ids=[f"{f}-t{s[1]}" for f, s, _ in SOLVE_WITNESS_DIGESTS],
+)
+def test_solve_witness_stdout_pinned(family, size, digest):
+    res = run_cli("solve", *size, "--family", family, "--witness")
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
 def test_fraction_round_trip_losslessly():
     from fractions import Fraction
 
@@ -270,6 +300,29 @@ def test_usage_error_exits_2():
     assert run_cli("alpha", "--graph", "kneser").returncode == 2
     assert run_cli("blocker", "verify", "--file", "/nonexistent.json").returncode == 2
     assert run_cli("blocker", "bound", "--k", "2", "--beta", "x/y").returncode == 2
+    for beta in ("0/0", "1/0"):
+        res = run_cli("blocker", "bound", "--k", "2", "--beta", beta)
+        assert res.returncode == 2, res.stderr
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("alpha", "--graph", "complete:0"),
+        ("alpha", "--graph", "gnp:0:0.5:1"),
+        ("alphastar", "--graph", "edgeless:0"),
+        ("alphastar", "--graph", "edgeless:0", "--mode", "mc", "--samples", "5"),
+        ("alpha", "--graph", "edgeless:-1"),
+        ("alpha", "--graph", "gnp:-1:0.5:1"),
+    ],
+)
+def test_empty_or_negative_graph_exits_2(args):
+    res = run_cli(*args)
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize(

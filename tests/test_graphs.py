@@ -382,3 +382,15 @@ def test_binary_asymmetric_rows_rejected():
     data = b"HLG1" + (2).to_bytes(4, "little") + bytes([0b10, 0b00])
     with pytest.raises(ValueError, match="symmetric"):
         graph_from_bytes(data)
+
+
+def test_negative_vertex_counts_rejected():
+    for build in (edgeless_graph, complete_graph, lambda m: random_graph(m, 0.5, 1)):
+        with pytest.raises(ValueError, match="vertex count"):
+            build(-1)
+        assert build(0).vcount == 0  # empty graphs stay constructible
+
+
+def test_empty_graph_has_no_independence_ratio():
+    with pytest.raises(ValueError, match="no vertices"):
+        max_independent_set(edgeless_graph(0))

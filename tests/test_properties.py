@@ -23,6 +23,9 @@ from hatlab.graphs import (
     graph_from_text,
     graph_to_bytes,
     graph_to_text,
+    max_independent_set,
+    mis_size_all_subsets,
+    mis_size_in_subset,
     random_graph,
 )
 
@@ -34,9 +37,10 @@ bounded = settings(derandomize=True, max_examples=60, deadline=None, database=No
 
 
 @st.composite
-def graphs(draw) -> Graph:
+def graphs(draw, min_vertices: int = 0, max_vertices: int = 20) -> Graph:
     """random_graph with an arbitrary set of self-loops on top."""
-    g = random_graph(draw(st.integers(0, 20)), draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+    g = random_graph(draw(st.integers(min_vertices, max_vertices)),
+                     draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
                      draw(st.integers(0, 1000)))
     loops = tuple(draw(st.lists(st.booleans(), min_size=g.vcount, max_size=g.vcount)))
     return Graph(g.vcount, g.adj, loops, g.label)
@@ -131,6 +135,18 @@ def test_family_json_round_trip(family):
     else:
         assert back.tuples == family.tuples
     assert_valid_family(back)
+
+
+# --- MIS against the subset DP -----------------------------------------------
+
+
+@bounded
+@given(graphs(min_vertices=1, max_vertices=14), st.data())
+def test_mis_matches_subset_dp(g, data):
+    table = mis_size_all_subsets(g)
+    assert max_independent_set(g).size == table[-1]
+    w = data.draw(st.integers(0, (1 << g.vcount) - 1))
+    assert mis_size_in_subset(g, w) == table[w]
 
 
 # --- malformed input ----------------------------------------------------------

@@ -209,3 +209,10 @@ def test_gap_mc_mode():
     exact = epsilon_gap(shift_graph(4)).gap
     assert res.provenance == "mc"
     assert abs(res.gap - float(exact)) < 0.02
+
+
+def test_alpha_star_star_of_empty_graph_rejected():
+    with pytest.raises(ValueError, match="no vertices"):
+        alpha_star_star_exact(edgeless_graph(0))
+    with pytest.raises(ValueError, match="no vertices"):
+        alpha_star_star_mc(edgeless_graph(0), samples=5, seed=0)

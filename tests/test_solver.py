@@ -154,12 +154,11 @@ def test_exact_p32_gated_and_cross_checked():
 
 
 def test_witness_validity():
-    for t, n, kind in [(1, 4, "dictator"), (2, 2, "dictator"), (2, 3, "intersecting")]:
-        res = exact_p(t, n, kind)
+    cases = [(1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 2)]
+    for (t, n), kind in product(cases, ("dictator", "intersecting", "monotone")):
+        res = exact_p(t, n, kind, allow_slow=t == 3)
         fam = enumerate_family(kind, n)
-        assert success_probability(res.witness, fam) == res.value
-    res = exact_p(3, 2, "dictator", allow_slow=True)
-    assert success_probability(res.witness, enumerate_family("dictator", 2)) == res.value
+        assert success_probability(res.witness, fam) == res.value, (t, n, kind)
 
 
 def test_monotonicity_in_t():
