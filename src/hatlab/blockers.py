@@ -3,9 +3,12 @@
 A blocker is a set of tuples meeting every winning set of the dictator game.
 Certification is a refutation search: enumerate the second player's table on
 the coordinates the blocker touches and ask whether the first player can
-dodge every constraint; if no assignment dodges all of them, the set is a
+dodge every constraint; if no table lets it dodge all of them, the set is a
 certified blocker, otherwise the dodging partial strategy is returned as a
-counterexample.
+counterexample. Each table costs one lane test: every touched second
+coordinate owns a lane of n+1 bits in one integer, the first coordinates
+that constrain it are ORed into its lane, and the table dodges when adding
+1 to every lane carries into no lane's top bit (see `verify_blocker`).
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import json
 import math
 import random
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -70,11 +75,15 @@ class Blocker:
     t: int
     n: int
     points: tuple[tuple[int, ...], ...]
-    certified: bool = False
 
     def __post_init__(self) -> None:
         if len(set(self.points)) != len(self.points):
             raise ValueError("blocker points must be distinct")
+        size = 1 << self.n
+        if not all(len(p) == self.t and all(0 <= c < size for c in p) for p in self.points):
+            raise ValueError(
+                f"blocker points must be {self.t}-tuples of integers in [0, 2^{self.n})"
+            )
 
     @property
     def k(self) -> int:
@@ -120,19 +129,26 @@ def _require_dictator(family: WinningFamily) -> None:
 
 
 def verify_blocker(blocker: Blocker, family: WinningFamily) -> VerifyResult:
-    """Certify a blocker or produce an avoiding strategy as a counterexample."""
+    """Certify a blocker or produce an avoiding strategy as a counterexample.
+
+    At t=2 the second player's tables g on the touched first coordinates xs
+    are scanned in `product` order. Each touched second coordinate y owns a
+    lane of n+1 bits. A point (x, y) is live under g when y's bit g(x) is
+    black, and then x is ORed into y's lane; the first player dodges y by
+    naming a hat white on every live x, a zero among the lane's low n bits.
+    So a table dodges exactly when adding LOW (bit 0 of every lane) to the
+    OR sets no bit of HIGH (bit n of every lane). The first dodging table is
+    decoded into the counterexample, naming the lowest legal hat for each y.
+    """
     _require_dictator(family)
     n = family.n
     if blocker.n != n:
         raise ValueError(f"blocker n={blocker.n} does not match family n={family.n}")
     if blocker.t == 1:
-        points = [p[0] for p in blocker.points]
         support = 0
-        for x in points:
+        for (x,) in blocker.points:
             support |= x
-        full = (1 << n) - 1
-        if support == full:
-            blocker.certified = True
+        if support == (1 << n) - 1:
             return VerifyResult(True, None, n)
         miss = next(i for i in range(n) if not (support >> i & 1))
         return VerifyResult(False, Counterexample(1, n, {0: miss}, {}), n)
@@ -141,37 +157,37 @@ def verify_blocker(blocker: Blocker, family: WinningFamily) -> VerifyResult:
 
     xs = sorted({p[0] for p in blocker.points})
     ys = sorted({p[1] for p in blocker.points})
-    by_y: dict[int, list[int]] = {y: [] for y in ys}
-    for x, y in blocker.points:
-        by_y[y].append(x)
     n_tables = n ** len(xs)
     if n_tables > MAX_CSP_TABLES:
         raise UnsupportedSizeError(
             f"{n_tables} second-player tables exceed the {MAX_CSP_TABLES} budget"
         )
-    scanned = 0
-    for g in product(range(n), repeat=len(xs)):
-        scanned += 1
-        g_of = dict(zip(xs, g))
-        f1: dict[int, int] = {}
-        dodged = True
-        for y in ys:
-            # constraints (x, y) with y's hat g(x) black are live; the first
-            # player must then name a hat that is white on every such x
-            live = [x for x in by_y[y] if y >> g_of[x] & 1]
-            choice = None
-            for c in range(n):
-                if all(not (x >> c & 1) for x in live):
-                    choice = c
-                    break
-            if choice is None:
-                dodged = False
-                break
-            f1[y] = choice
-        if dodged:
-            return VerifyResult(False, Counterexample(2, n, f1, g_of), scanned)
-    blocker.certified = True
-    return VerifyResult(True, None, scanned)
+    shift = {y: j * (n + 1) for j, y in enumerate(ys)}
+    low = sum(1 << s for s in shift.values())
+    high = low << n
+    # contrib[x][c]: x in the lane of every y it meets when x's hat is c
+    contrib = {x: [0] * n for x in xs}
+    for x, y in blocker.points:
+        for c in range(n):
+            if y >> c & 1:
+                contrib[x][c] |= x << shift[y]
+    if not xs:
+        return VerifyResult(False, Counterexample(2, n, {}, {}), 1)
+    *head, last = [contrib[x] for x in xs]  # the last coordinate varies fastest
+    for h, hats in enumerate(product(range(n), repeat=len(head))):
+        base = 0
+        for masks, c in zip(head, hats):
+            base |= masks[c]
+        for c, mask in enumerate(last):
+            lanes = base | mask
+            if not (lanes + low) & high:
+                f1 = {}
+                for y in ys:
+                    u = lanes >> shift[y]  # its lowest zero bit lies in y's lane
+                    f1[y] = (~u & (u + 1)).bit_length() - 1
+                g_of = dict(zip(xs, hats + (c,)))
+                return VerifyResult(False, Counterexample(2, n, f1, g_of), h * len(last) + c + 1)
+    return VerifyResult(True, None, n_tables)
 
 
 @dataclass
@@ -182,6 +198,40 @@ class StallReport:
     tuples_kept: int
 
 
+class PackedTuples(Sequence):
+    """Equal-length tuples of ints stored as one flat array.
+
+    Compares, iterates, indexes, slices and prints like the tuple of tuples
+    it packs, in a fraction of the memory: a product family keeps thousands
+    of its vector tuples.
+    """
+
+    def __init__(self, rows) -> None:
+        rows = [tuple(r) for r in rows]
+        self._len = len(rows)
+        self._width = len(rows[0]) if rows else 0
+        if any(len(r) != self._width for r in rows):
+            raise ValueError("packed tuples must all have the same length")
+        self._flat = array("Q", [v for r in rows for v in r])
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        if not -self._len <= i < self._len:
+            raise IndexError("tuple index out of range")
+        start = i % self._len * self._width
+        return tuple(self._flat[start : start + self._width])
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, PackedTuples) else other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass
 class BlockerFamily:
     """Disjoint equal-size blockers with the exact measure of their union.
@@ -189,7 +239,7 @@ class BlockerFamily:
     Small families carry their blockers explicitly. Families built as
     products of all complement pairs with kept vector tuples can be too
     large to materialize (2^(n-1) pairs times thousands of tuples), so they
-    store the tuples and generate blockers on demand.
+    store the tuples, packed, and generate blockers on demand.
     """
 
     t: int
@@ -198,12 +248,16 @@ class BlockerFamily:
     beta: Fraction
     seed: int | None = None
     blockers: tuple[Blocker, ...] | None = None
-    tuples: tuple[tuple[int, ...], ...] | None = None
+    tuples: Sequence[tuple[int, ...]] | None = None
     stalled: bool = False
     stall_report: StallReport | None = None
     certified: bool = False
 
     MATERIALIZE_LIMIT = 20_000
+
+    def __post_init__(self) -> None:
+        if self.tuples is not None and not isinstance(self.tuples, PackedTuples):
+            self.tuples = PackedTuples(self.tuples)
 
     @property
     def blocker_count(self) -> int:
@@ -357,9 +411,7 @@ def certify_family(family: BlockerFamily, winning: WinningFamily) -> FamilyCerti
             runs += 1
             if not res.is_blocker:
                 failures.append(i)
-        cert = not failures
-        family.certified = cert
-        return FamilyCertification(cert, len(family.blockers), runs, tuple(failures))
+        return FamilyCertification(not failures, len(family.blockers), runs, tuple(failures))
 
     assert family.tuples is not None
     n = family.n
@@ -377,9 +429,7 @@ def certify_family(family: BlockerFamily, winning: WinningFamily) -> FamilyCerti
             if not res.is_blocker:
                 failures.append(idx)
                 break
-    cert = not failures
-    family.certified = cert
-    return FamilyCertification(cert, family.blocker_count, runs, tuple(failures))
+    return FamilyCertification(not failures, family.blocker_count, runs, tuple(failures))
 
 
 def check_pairwise_disjoint(family: BlockerFamily, sample: int | None = None) -> bool:
@@ -488,9 +538,7 @@ def family_from_json(text: str) -> BlockerFamily:
         type(flag) is bool for flag in (stalled, certified)
     ):
         raise ValueError("seed must be an integer or null, stalled and certified booleans")
-    family = BlockerFamily(
-        t=t, n=n, k=k, beta=beta, seed=seed, stalled=stalled, certified=certified
-    )
+    blockers = tuples = None
     if "blockers" in doc:
         if not isinstance(doc["blockers"], list):
             raise ValueError("blockers must be a list of point-index lists")
@@ -500,7 +548,7 @@ def family_from_json(text: str) -> BlockerFamily:
                 raise ValueError(f"a blocker has {len(flat)} points, expected k={k}")
             points = tuple(tuple_from_index(i, n, t) for i in flat)
             blockers.append(Blocker(t=t, n=n, points=points))
-        family.blockers = tuple(blockers)
+        blockers = tuple(blockers)
     else:
         tuples = doc["product"].get("tuples") if isinstance(doc["product"], dict) else None
         if t != 2 or not isinstance(tuples, list):
@@ -508,8 +556,10 @@ def family_from_json(text: str) -> BlockerFamily:
         for tp in tuples:
             if 2 * len(set(_index_list(tp, n, "a product tuple"))) != k:
                 raise ValueError(f"a product tuple must hold {k}/2 distinct points")
-        family.tuples = tuple(tuple(tp) for tp in tuples)
-    return family
+    return BlockerFamily(
+        t=t, n=n, k=k, beta=beta, seed=seed, blockers=blockers, tuples=tuples,
+        stalled=stalled, certified=certified,
+    )
 
 
 # --- graph blockers ---------------------------------------------------------

@@ -197,6 +197,7 @@ def _cmd_blocker(args: argparse.Namespace) -> tuple[dict, int | None, int]:
         )
         winning = enumerate_family("dictator", args.n)
         cert = certify_family(family, winning)
+        family.certified = cert.certified
         doc = family_to_json(family)
         if args.out:
             with open(args.out, "w") as fh:

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -28,22 +28,8 @@ from hatlab.game import enumerate_family, winning_set
 from hatlab.graphs import complete_graph, shift_graph
 from hatlab.solver import exact_p
 
+from blocker_reference import brute_force_is_blocker
 from mis_reference import reference_maximum_independent_sets
-
-
-def brute_force_is_blocker(points: list[tuple[int, int]], n: int) -> bool:
-    """Full enumeration over both players' tables on the touched coordinates."""
-    xs = sorted({p[0] for p in points})
-    ys = sorted({p[1] for p in points})
-    for g in product(range(n), repeat=len(xs)):
-        g_of = dict(zip(xs, g))
-        for f in product(range(n), repeat=len(ys)):
-            f_of = dict(zip(ys, f))
-            if not any(
-                (x >> f_of[y] & 1) and (y >> g_of[x] & 1) for x, y in points
-            ):
-                return False  # this strategy's winning set avoids every point
-    return True
 
 
 # --- k sequence and decrement bound ----------------------------------------
@@ -100,7 +86,6 @@ def test_base_blockers_certify(n):
     winning = enumerate_family("dictator", n)
     for b in fam.blockers:
         assert verify_blocker(b, winning).is_blocker
-        assert b.certified
 
 
 def test_base_pairs_are_complements():
@@ -131,6 +116,31 @@ def test_singleton_fails_with_counterexample():
     # and the counterexample extends to a strategy whose winning set avoids it
     w = winning_set(cx.to_strategy(), winning)
     assert not (w.bits >> 0b0101 & 1)
+
+
+def test_blocker_rejects_points_out_of_range():
+    # 31 at n=4 made the t=1 oracle die with StopIteration
+    with pytest.raises(ValueError, match="2\\^4"):
+        Blocker(1, 4, ((31,),))
+    # 999 at n=4 was silently verified as the point (7, 15)
+    with pytest.raises(ValueError, match="2\\^4"):
+        Blocker(2, 4, ((999, 15), (15, 999)))
+    for bad in (((-1, 3),), ((3,),), ((1, 2, 3),)):
+        with pytest.raises(ValueError):
+            Blocker(2, 4, bad)
+    Blocker(2, 4, ((0, 15), (15, 0)))  # both ends of the range are points
+
+
+def test_certification_leaves_arguments_unchanged():
+    winning = enumerate_family("dictator", 4)
+    blocker = base_blockers(4).blockers[0]
+    before = repr(blocker)
+    assert verify_blocker(blocker, winning).is_blocker
+    assert repr(blocker) == before
+    for family in (base_blockers(4), construct_blockers(4, 2, 0.5),
+                   construct_blockers(16, 7, 0.8)):
+        assert certify_family(family, enumerate_family("dictator", family.n)).certified
+        assert family.certified is False
 
 
 def test_all_ones_singleton_is_a_blocker():
@@ -184,6 +194,54 @@ def test_certified_blockers_meet_random_strategies():
         assert any(
             (x >> f1[y] & 1) and (y >> f2[x] & 1) for x, y in b.points
         ), "a certified blocker missed a strategy"
+
+
+# sha256 of repr([verify_blocker(b, ...) for b in _oracle_probes()]), recorded
+# before the oracle was rewritten as a lane test: verdicts, counterexamples
+# (lowest legal hat, first dodging table in product order) and tables_scanned
+ORACLE_DIGEST = "6d994111461fbd5b0ed63922fca750bbbc477a332a9a7bc9d2b6731609dbc218"
+
+
+def _oracle_probes() -> list[Blocker]:
+    """Seeded t=1 and t=2 probes at n=1..8, then the n=14 class probes."""
+    rng = random.Random(2024)
+    probes = [Blocker(1, n, ()) for n in (1, 4)] + [Blocker(2, n, ()) for n in (1, 3)]
+    for n in range(1, 9):
+        probes += base_blockers(n).blockers
+        for _ in range(4):
+            k = rng.randint(1, 4)
+            xs = rng.sample(range(1 << n), min(k, 1 << n))
+            probes.append(Blocker(1, n, tuple((x,) for x in xs)))
+        for _ in range(12):
+            xpool = rng.sample(range(1 << n), rng.randint(1, min(4, 1 << n)))
+            pts = {(rng.choice(xpool), rng.randrange(1 << n)) for _ in range(rng.randint(1, 8))}
+            probes.append(Blocker(2, n, tuple(sorted(pts))))
+        # mostly-black coordinates make dodging tables rarer and later
+        def dense() -> int:
+            return sum(1 << i for i in range(n) if rng.random() < 0.8)
+
+        for _ in range(12):
+            xpool = [dense() for _ in range(rng.randint(1, 4))]
+            pts = {(rng.choice(xpool), dense()) for _ in range(rng.randint(1, 8))}
+            probes.append(Blocker(2, n, tuple(sorted(pts))))
+    probes += construct_blockers(4, 2, 0.5).materialize()
+    probes += construct_blockers(8, 7, 0.5).materialize()[::37]
+    for b in probes[-40:]:  # certified blockers minus one point
+        drop = rng.randrange(b.k)
+        probes.append(Blocker(2, b.n, b.points[:drop] + b.points[drop + 1 :]))
+    full = (1 << 14) - 1
+    for ytuple in construct_blockers(14, 3, 0.15).tuples:
+        for pair in ((1, full ^ 1), (0, full)):
+            probes.append(Blocker(2, 14, tuple((a, y) for a in pair for y in ytuple)))
+    return probes
+
+
+def test_oracle_pinned():
+    probes = _oracle_probes()
+    results = [verify_blocker(b, enumerate_family("dictator", b.n)) for b in probes]
+    assert (len(results), sum(r.is_blocker for r in results)) == (1319, 1129)
+    assert sum(r.tables_scanned for r in results) == 158582
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == ORACLE_DIGEST
 
 
 # --- construction -----------------------------------------------------------

@@ -15,13 +15,13 @@ CLI = [sys.executable, "-m", "hatlab.cli"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args: str, env_extra: dict | None = None):
+def run_cli(*args: str, env_extra: dict | None = None, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, timeout=600, env=env
+        CLI + list(args), capture_output=True, text=True, timeout=600, env=env, cwd=cwd
     )
 
 
@@ -246,6 +246,33 @@ def test_solve_witness_stdout_pinned(family, size, digest):
     res = run_cli("solve", *size, "--family", family, "--witness")
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+def test_blocker_oracle_stdout_pinned(tmp_path):
+    # sha256 of `blocker verify` stdout and of a `blocker build --out` file,
+    # recorded before the oracle was rewritten as a lane test. The verified
+    # family is the n=4 construction with the last point of every second
+    # blocker moved to a fresh first coordinate, so certified blockers and
+    # counterexamples alternate.
+    from hatlab.blockers import construct_blockers, family_to_json
+
+    doc = json.loads(family_to_json(construct_blockers(4, 2, 0.5)))
+    for flat in doc["blockers"][1::2]:
+        used = {i >> 4 for i in flat}
+        flat[-1] = next(i for i in range(256) if i not in flat and i >> 4 not in used)
+    (tmp_path / "fam.json").write_text(json.dumps(doc))
+    res = run_cli("blocker", "verify", "--file", "fam.json", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+        "3eb3b6158336f6de83679151216f939ab638b8d492342242659851114e1aa386"
+    )
+    out = tmp_path / "built.json"
+    res = run_cli("blocker", "build", "--n", "8", "--seed", "7", "--delta", "0.5",
+                  "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f7fcb51af1fff3607d04c2a23b14f62120e12c3c40ffa22a28fab85201fc9a13"
+    )
 
 
 def test_fraction_round_trip_losslessly():

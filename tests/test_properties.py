@@ -1,5 +1,6 @@
-"""Property tests: codec round trips, and malformed input that is either
-rejected with ValueError or decoded to a valid object, never anything else."""
+"""Property tests: codec round trips, engines against independent references,
+and malformed input that is either rejected with ValueError or decoded to a
+valid object, never anything else."""
 
 from __future__ import annotations
 
@@ -10,13 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hatlab.blockers import (
+    Blocker,
     BlockerFamily,
     base_blockers,
     construct_blockers,
     family_from_json,
     family_to_json,
+    verify_blocker,
 )
-from hatlab.game import tuple_from_index, tuple_index
+from hatlab.game import enumerate_family, tuple_from_index, tuple_index, winning_set
 from hatlab.graphs import (
     Graph,
     graph_from_bytes,
@@ -28,6 +31,8 @@ from hatlab.graphs import (
     mis_size_in_subset,
     random_graph,
 )
+
+from blocker_reference import brute_force_is_blocker
 
 # derandomized and bounded, so tier-1 stays deterministic and fast
 bounded = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -147,6 +152,26 @@ def test_mis_matches_subset_dp(g, data):
     assert max_independent_set(g).size == table[-1]
     w = data.draw(st.integers(0, (1 << g.vcount) - 1))
     assert mis_size_in_subset(g, w) == table[w]
+
+
+# --- certification oracle against the brute force ---------------------------
+
+
+@settings(bounded, max_examples=150)
+@given(st.integers(1, 3), st.data())
+def test_t2_oracle_matches_brute_force(n, data):
+    # uniform coordinates alone rarely give blockers or late dodging tables
+    # at n=3; coordinates with at most one white hat do
+    full = (1 << n) - 1
+    coord = st.integers(0, full) | st.integers(0, n).map(lambda i: full & ~(1 << i))
+    points = tuple(data.draw(st.lists(st.tuples(coord, coord), unique=True, max_size=5)))
+    winning = enumerate_family("dictator", n)
+    res = verify_blocker(Blocker(2, n, points), winning)
+    assert res.is_blocker == brute_force_is_blocker(list(points), n)
+    assert (res.counterexample is None) == res.is_blocker
+    if res.counterexample is not None:
+        w = winning_set(res.counterexample.to_strategy(), winning).bits
+        assert not any(w >> (x << n | y) & 1 for x, y in points)
 
 
 # --- malformed input ----------------------------------------------------------
