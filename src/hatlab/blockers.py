@@ -516,7 +516,8 @@ def _index_list(value, bits: int, what: str) -> list[int]:
 
 
 def family_from_json(text: str) -> BlockerFamily:
-    """Inverse of family_to_json; a malformed document raises ValueError."""
+    """Inverse of family_to_json; a malformed document, or a beta that is not
+    the union measure of its blockers, raises ValueError."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("a blocker family document must be a JSON object")
@@ -556,10 +557,14 @@ def family_from_json(text: str) -> BlockerFamily:
         for tp in tuples:
             if 2 * len(set(_index_list(tp, n, "a product tuple"))) != k:
                 raise ValueError(f"a product tuple must hold {k}/2 distinct points")
-    return BlockerFamily(
+    family = BlockerFamily(
         t=t, n=n, k=k, beta=beta, seed=seed, blockers=blockers, tuples=tuples,
         stalled=stalled, certified=certified,
     )
+    measure = union_measure(family)
+    if measure != beta:
+        raise ValueError(f"beta {beta} does not match the union measure {measure}")
+    return family
 
 
 # --- graph blockers ---------------------------------------------------------

@@ -1,10 +1,10 @@
 """Exact and heuristic optimization of the game's success probability.
 
-One exact engine serves t=2 and t=3: it enumerates only the last player's
-table and, for each point x_t, answers with the best winning set of the
-(t-1)-player game, which collapses the t=2 search space from r^(2*2^n) to
-r^(2^n). A branch and bound over the same best response covers larger t=2
-table spaces.
+One bounded depth-first kernel walks the last player's table in product
+order; for each point x_t the other players answer with the best winning set
+of the (t-1)-player game, which collapses the t=2 search space from
+r^(2*2^n) to r^(2^n). It has two callers: exact t=2 and t=3 enumeration, and
+a t=2 branch and bound for larger table spaces, floored by local search.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable
 
 from .errors import MalformedPartitionError, UnsupportedSizeError
 from .game import (
@@ -30,8 +29,6 @@ from .game import (
 MAX_LAST_PLAYER_TABLES = 70_000
 MAX_TABLE_INPUT_BITS = 16
 MAX_EVAL_BITS = 20
-
-_Argmax = Callable[[int], tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -70,62 +67,100 @@ def partition_from_table(table: tuple[int, ...], r: int, n: int) -> PartitionVie
     return PartitionView(n=n, cells=tuple(cells))
 
 
-def _argmax(masks: tuple[int, ...] | list[int]) -> _Argmax:
-    """Memoised best mask against a union: u -> (max popcount(w & u), its lowest index)."""
-    cache: dict[int, tuple[int, int]] = {}
+class _Argmax(dict):
+    """Memoised best mask against a union: best[u] = (max popcount(w & u), its lowest index)."""
 
-    def best(u: int) -> tuple[int, int]:
-        hit = cache.get(u)
-        if hit is None:
-            b, bi = -1, 0
-            for i, w in enumerate(masks):
-                c = (w & u).bit_count()
-                if c > b:
-                    b, bi = c, i
-            hit = cache[u] = (b, bi)
+    def __init__(self, masks: tuple[int, ...] | list[int]) -> None:
+        super().__init__()
+        self.masks = masks
+
+    def __missing__(self, u: int) -> tuple[int, int]:
+        b, bi = -1, 0
+        for i, w in enumerate(self.masks):
+            c = (w & u).bit_count()
+            if c > b:
+                b, bi = c, i
+        hit = self[u] = (b, bi)
         return hit
-
-    return best
 
 
 def _best_response(
-    cells: tuple[int, ...] | list[int],
-    members: list[tuple[int, ...]],
-    best: _Argmax,
-    rest: int = 0,
+    cells: tuple[int, ...] | list[int], members: list[tuple[int, ...]], best: _Argmax
 ) -> tuple[int, list[int]]:
     """Pointwise-optimal response to the last player's cells.
 
     For each point x the last player wins exactly on the union of the cells of
-    the members containing x (members[x]); `rest` adds points still unassigned.
-    Returns the summed best counts and the picked mask index per x.
+    the members containing x (members[x]). Returns the summed best counts and
+    the picked mask index per x.
     """
     total = 0
     picks = []
     for mem in members:
-        u = rest
+        u = 0
         for i in mem:
             u |= cells[i]
-        c, bi = best(u)
+        c, bi = best[u]
         total += c
         picks.append(bi)
     return total, picks
 
 
 def _scan_last_player(
-    r: int, entries: int, members: list[tuple[int, ...]], best: _Argmax
-) -> tuple[int, tuple[int, ...]]:
-    """The first last-player table, in product order, with the largest best-response total."""
-    top, top_table = -1, None
-    for table in product(range(r), repeat=entries):
-        cells = [0] * r
-        for x, i in enumerate(table):
-            cells[i] |= 1 << x
-        total = _best_response(cells, members, best)[0]
-        if total > top:
-            top, top_table = total, table
-    assert top_table is not None
-    return top, top_table
+    r: int, entries: int, members: list[tuple[int, ...]], best: _Argmax, floor: int = -1
+) -> tuple[int, tuple[int, ...] | None, int]:
+    """The first last-player table, in product order, whose best-response total beats `floor`.
+
+    A depth-first walk over the table's entries keeps one union u[x] per point
+    (the entries whose member contains x) and cuts a subtree when the totals
+    with every unassigned entry added to each u[x] cannot beat the incumbent.
+    Cuts are strict, so the first optimum in product order survives. Returns
+    (total, table, nodes), or (floor, None, nodes) when nothing beats `floor`;
+    nodes counts every bound evaluated, the root included.
+    """
+    holders = [[x for x, mem in enumerate(members) if i in mem] for i in range(r)]
+    # a mask inside another never scores more, so the walk scores maximal masks only
+    masks = best.masks
+    best = _Argmax([w for w in masks if not any(w != v and w | v == v for v in masks)])
+    terms = [best[(1 << entries) - 1][0]] * len(members)
+    state = [floor, None, 1]
+    if sum(terms) > floor:
+        _descend(0, [0] * len(members), terms, [0] * entries, holders, best, state)
+    return state[0], state[1], state[2]
+
+
+def _descend(
+    e: int, u: list[int], terms: list[int], table: list[int],
+    holders: list[list[int]], best: _Argmax, state: list,
+) -> None:
+    """Try each member at entry e of `table`; state is [incumbent, its table, nodes].
+
+    terms[x] is point x's bound with entries e.. unassigned. Once entry e is
+    set, x keeps terms[x] if the member holds x and drops to lo[x] otherwise,
+    so each child's bound is lo's sum plus the gains of its member's points.
+    """
+    bit = 1 << e
+    rest = ((1 << len(table)) - 1) ^ ((bit << 1) - 1)
+    lo = [best[v | rest][0] for v in u]
+    gain = [hi - low for hi, low in zip(terms, lo)]
+    base = sum(lo)
+    last = e + 1 == len(table)
+    for i, xs in enumerate(holders):
+        state[2] += 1
+        bound = base + sum(map(gain.__getitem__, xs))
+        if bound <= state[0]:
+            continue
+        table[e] = i
+        if last:
+            # nothing is unassigned, so the bound is this table's exact total
+            state[0], state[1] = bound, tuple(table)
+            continue
+        child = lo.copy()
+        for x in xs:
+            u[x] |= bit
+            child[x] = terms[x]
+        _descend(e + 1, u, child, table, holders, best, state)
+        for x in xs:
+            u[x] ^= bit
 
 
 def best_response_value(partition: PartitionView, family: WinningFamily) -> Fraction:
@@ -140,12 +175,12 @@ def best_response_value(partition: PartitionView, family: WinningFamily) -> Frac
         )
     partition.validate()
     members = [family.indices_containing(x) for x in range(1 << family.n)]
-    total, _ = _best_response(partition.cells, members, _argmax(family.sets))
+    total, _ = _best_response(partition.cells, members, _Argmax(family.sets))
     return Fraction(total, 1 << (2 * family.n))
 
 
 def _exact_p1(family: WinningFamily) -> SolveResult:
-    best, best_i = _argmax(family.sets)((1 << (1 << family.n)) - 1)
+    best, best_i = _Argmax(family.sets)[(1 << (1 << family.n)) - 1]
     return SolveResult(
         value=Fraction(best, 1 << family.n),
         witness=constant_strategy(family, 1, best_i),
@@ -180,8 +215,9 @@ def _exact_last_player(family: WinningFamily, t: int) -> SolveResult:
         reps.setdefault(winning_set(inner, family).bits, tables)
     wins = sorted(reps)
     members = [family.indices_containing(x) for x in range(1 << n)]
-    best = _argmax(wins)
-    total, table = _scan_last_player(r, entries, members, best)
+    best = _Argmax(wins)
+    total, table, _ = _scan_last_player(r, entries, members, best)
+    assert table is not None
     cells = partition_from_table(table, r, n * (t - 1)).cells
     rebuilt = [[0] * entries for _ in range(t - 1)]
     for xt, wi in enumerate(_best_response(cells, members, best)[1]):
@@ -203,55 +239,26 @@ def _exact_last_player(family: WinningFamily, t: int) -> SolveResult:
 def _exact_p2_branch_bound(family: WinningFamily) -> SolveResult:
     """Exact t=2 optimum for table spaces too large to enumerate.
 
-    Depth-first over f_2 entries with an admissible bound: unassigned points
-    may still land in any cell, so each x2 term is bounded by the best
-    response against assigned cells plus all unassigned points. The bound is
-    weak near the root, so the 4^16-table dictator stretch at n=4 can take
-    hours; that is the price of exactness behind the allow_slow gate.
+    The last-player walk, started with the total of a local search as its
+    floor; `work` is the walk's node count. The bound is weak near the root,
+    so the 4^16-table dictator stretch at n=4 can take hours; that is the
+    price of exactness behind the allow_slow gate.
     """
     n, r = family.n, family.r
-    size = 1 << n
-    members = [family.indices_containing(x) for x in range(size)]
-    best = _argmax(family.sets)
-    full = (1 << size) - 1
-
+    members = [family.indices_containing(x) for x in range(1 << n)]
+    best = _Argmax(family.sets)
     seed_result = local_search_p(2, n, family.kind, seed=0, restarts=16)
-    incumbent = int(seed_result.value * (1 << (2 * n)))
-    incumbent_table: tuple[int, ...] | None = None
-    work = 0
-
-    cells = [0] * r
-    assignment = [0] * size
-
-    def rec(x: int) -> None:
-        nonlocal incumbent, incumbent_table, work
-        work += 1
-        bound = _best_response(cells, members, best, full ^ ((1 << x) - 1))[0]
-        if bound <= incumbent:
-            return
-        if x == size:
-            # nothing is unassigned, so the bound is this table's exact total
-            incumbent, incumbent_table = bound, tuple(assignment)
-            return
-        for v in range(r):
-            cells[v] |= 1 << x
-            assignment[x] = v
-            rec(x + 1)
-            cells[v] &= ~(1 << x)
-
-    rec(0)
-    if incumbent_table is None:
+    floor = int(seed_result.value * (1 << (2 * n)))
+    _, table, nodes = _scan_last_player(r, 1 << n, members, best, floor)
+    if table is None:
         # local search already found the optimum; rebuild its table
-        incumbent_table = seed_result.witness.tables[1]
-    total, f1 = _best_response(
-        partition_from_table(incumbent_table, r, n).cells, members, best
-    )
-    witness = Strategy(n=n, t=2, tables=(tuple(f1), incumbent_table))
+        table = seed_result.witness.tables[1]
+    total, f1 = _best_response(partition_from_table(table, r, n).cells, members, best)
     return SolveResult(
         value=Fraction(total, 1 << (2 * n)),
-        witness=witness,
+        witness=Strategy(n=n, t=2, tables=(tuple(f1), table)),
         method="best-response-exact",
-        work=work,
+        work=nodes,
     )
 
 
@@ -266,11 +273,11 @@ def exact_p(
     """Exact optimum success probability with an optimal witness strategy.
 
     Supported budgets: t=1 (any enumerable family); n=1 (any t up to 20);
-    t=2 and t=3 through one last-player engine, up to r^(2^(n(t-1))) <= 70000
-    last-player tables (t=2: n <= 3 for the three standard kinds; t=3: n=2,
-    behind allow_slow); and a branch-and-bound stretch for larger t=2 spaces
-    (n <= 4), also behind allow_slow. `threads` is accepted for
-    compatibility and has no effect.
+    t=2 and t=3 through one bounded last-player walk, which either scans up to
+    r^(2^(n(t-1))) <= 70000 tables (t=2: n <= 3 for the three standard kinds;
+    t=3: n=2, behind allow_slow) or, floored by local search, stretches to
+    larger t=2 spaces (n <= 4), also behind allow_slow. `threads` is accepted
+    for compatibility and has no effect.
     """
     if t < 1:
         raise UnsupportedSizeError(f"need t >= 1, got t={t}")
@@ -333,10 +340,23 @@ def local_search_p(
     size = 1 << n
     entries = 1 << (n * (t - 1))
     sets = family.sets
+    best = _Argmax(sets)
+    # links[i][vis]: for each other player j, (j, j's visible index with x_i = 0,
+    # the shift of x_i inside it, x_j), read instead of rebuilding the tuples
+    links = []
+    for i in range(t):
+        row = []
+        for vis in range(entries):
+            seen = tuple_from_index(vis, n, t - 1)
+            points = seen[:i] + (0,) + seen[i:]
+            row.append(tuple(
+                (j, visible_index(points, j, n), n * (t - 2 - i + (i > j)), points[j])
+                for j in range(t) if j != i
+            ))
+        links.append(row)
 
     def ascend(restart: int) -> tuple[Fraction, Strategy, int]:
         rng = stream_rng(seed, restart)
-        best = _argmax(sets)
         tables = [
             [rng.randrange(family.r) for _ in range(entries)] for _ in range(t)
         ]
@@ -346,22 +366,15 @@ def local_search_p(
             changed = False
             sweeps += 1
             for i in range(t):
-                for vis in range(entries):
-                    seen = tuple_from_index(vis, n, t - 1)
+                for vis, link in enumerate(links[i]):
                     consistent = 0
                     for xi in range(size):
-                        points = seen[:i] + (xi,) + seen[i:]
-                        ok = True
-                        for j in range(t):
-                            if j == i:
-                                continue
-                            cj = tables[j][visible_index(points, j, n)]
-                            if not (sets[cj] >> points[j] & 1):
-                                ok = False
+                        for j, base, shift, xj in link:
+                            if not (sets[tables[j][base | xi << shift]] >> xj & 1):
                                 break
-                        if ok:
+                        else:
                             consistent |= 1 << xi
-                    best_j = best(consistent)[1]
+                    best_j = best[consistent][1]
                     if tables[i][vis] != best_j:
                         tables[i][vis] = best_j
                         changed = True
@@ -369,10 +382,7 @@ def local_search_p(
         return success_probability(strategy, family), strategy, sweeps
 
     results = [ascend(restart) for restart in range(restarts)]
-    best_value, best_strategy, _ = results[0]
-    for value, strategy, _ in results[1:]:
-        if value > best_value:
-            best_value, best_strategy = value, strategy
+    best_value, best_strategy, _ = max(results, key=lambda res: res[0])  # the first best
     return SolveResult(
         value=best_value,
         witness=best_strategy,

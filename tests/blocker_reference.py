@@ -7,15 +7,21 @@ from itertools import product
 
 
 def brute_force_is_blocker(points: list[tuple[int, int]], n: int) -> bool:
-    """Full enumeration over both players' tables on the touched coordinates."""
+    """Enumeration of the second player's tables on the touched coordinates.
+
+    A point (x, y) is won when x >> f(y) & 1 and y >> g(x) & 1. For a fixed f,
+    the first-player hats that keep x off every point (x, y) with x >> f(y) & 1
+    are the bits of ~y for each such y; the set is no blocker exactly when
+    some f leaves every touched x at least one such hat.
+    """
     xs = sorted({p[0] for p in points})
     ys = sorted({p[1] for p in points})
-    for g in product(range(n), repeat=len(xs)):
-        g_of = dict(zip(xs, g))
-        for f in product(range(n), repeat=len(ys)):
-            f_of = dict(zip(ys, f))
-            if not any(
-                (x >> f_of[y] & 1) and (y >> g_of[x] & 1) for x, y in points
-            ):
-                return False  # this strategy's winning set avoids every point
+    for f in product(range(n), repeat=len(ys)):
+        f_of = dict(zip(ys, f))
+        allowed = dict.fromkeys(xs, (1 << n) - 1)
+        for x, y in points:
+            if x >> f_of[y] & 1:
+                allowed[x] &= ~y
+        if all(allowed.values()):
+            return False  # f plus any allowed hat per x avoids every point
     return True

@@ -375,9 +375,16 @@ def test_family_json_round_trip_product():
 def _family_doc(**changes) -> dict:
     """A valid explicit t=2, n=4 family document with one blocker, then `changes`."""
     doc = json.loads(family_to_json(base_blockers(4)))
-    doc.update(t=2, k=2, blockers=[[0x0F, 0xF0]])
+    doc.update(t=2, k=2, beta="1/128", blockers=[[0x0F, 0xF0]])
     doc.update(changes)
     return doc
+
+
+def test_family_json_rejects_beta_that_is_not_the_union_measure():
+    # one 2-point n=4 blocker covers 2/256 of B^2, not the claimed half
+    family_from_json(json.dumps(_family_doc()))
+    with pytest.raises(ValueError, match="union measure 1/128"):
+        family_from_json(json.dumps(_family_doc(beta="1/2", certified=True)))
 
 
 def test_family_json_rejects_point_index_out_of_range():

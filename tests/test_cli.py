@@ -204,7 +204,7 @@ def test_record_golden_bytes():
 def test_blocker_verify_reports_counterexample(tmp_path):
     # a hand-made family with one real blocker and one refutable set
     doc = {
-        "t": 1, "n": 3, "k": 2, "beta": "1/4", "seed": None,
+        "t": 1, "n": 3, "k": 2, "beta": "3/8", "seed": None,
         "certified": False, "stalled": False,
         # {001,110} covers all coordinates; {100,110} leaves bit 0 uncovered
         "blockers": [[1, 6], [4, 6]],
@@ -260,6 +260,8 @@ def test_blocker_oracle_stdout_pinned(tmp_path):
     for flat in doc["blockers"][1::2]:
         used = {i >> 4 for i in flat}
         flat[-1] = next(i for i in range(256) if i not in flat and i >> 4 not in used)
+    # the moved points change the union, so beta must follow it to decode
+    doc["beta"] = f"{len({i for flat in doc['blockers'] for i in flat})}/256"
     (tmp_path / "fam.json").write_text(json.dumps(doc))
     res = run_cli("blocker", "verify", "--file", "fam.json", cwd=tmp_path)
     assert res.returncode == 0, res.stderr
@@ -371,8 +373,9 @@ def test_graph_import_malformed_exits_2(tmp_path, name, data):
 
 @pytest.mark.parametrize(
     "change,drop",
-    [({"blockers": [[15, 999999]]}, None), ({"blockers": [[15]]}, None), ({}, "k")],
-    ids=["index-out-of-range", "wrong-length", "missing-k"],
+    [({"blockers": [[15, 999999]]}, None), ({"blockers": [[15]]}, None), ({}, "k"),
+     ({"beta": "1/2"}, None)],
+    ids=["index-out-of-range", "wrong-length", "missing-k", "beta-not-union-measure"],
 )
 def test_blocker_verify_malformed_exits_2(tmp_path, change, drop):
     doc = {"t": 2, "n": 4, "k": 2, "beta": "1/128", "seed": None,

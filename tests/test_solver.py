@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatlab.errors import MalformedPartitionError, UnsupportedSizeError
 from hatlab.game import enumerate_family, success_probability
 from hatlab.graphs import hamming_power, kneser, max_independent_set
 from hatlab.solver import (
     PartitionView,
+    _Argmax,
+    _scan_last_player,
     best_response_value,
     dominance_chain,
     exact_p,
@@ -200,6 +206,65 @@ def test_threads_do_not_change_exact_results():
     assert a.witness == b.witness
 
 
+# --- last-player kernel -----------------------------------------------------
+
+
+def plain_scan(r, entries, members, wins):
+    """Every last-player table in product order, scored from its cells."""
+    top, top_table = -1, None
+    for table in product(range(r), repeat=entries):
+        cells = [0] * r
+        for e, i in enumerate(table):
+            cells[i] |= 1 << e
+        total = 0
+        for mem in members:
+            u = 0
+            for i in mem:
+                u |= cells[i]
+            total += max((w & u).bit_count() for w in wins)
+        if total > top:
+            top, top_table = total, table
+    return top, top_table
+
+
+@st.composite
+def kernel_cases(draw):
+    """r member sets over the 2^n points, r^entries <= 4096, and the sets to answer with."""
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 4))
+    entries = draw(st.integers(1, max(e for e in range(1, 13) if r**e <= 4096)))
+    sets = draw(st.lists(st.integers(0, (1 << (1 << n)) - 1), min_size=r, max_size=r))
+    wins = draw(st.lists(st.integers(0, (1 << entries) - 1), min_size=1, max_size=6))
+    members = [tuple(i for i, w in enumerate(sets) if w >> x & 1) for x in range(1 << n)]
+    return r, entries, members, wins
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(kernel_cases(), st.data())
+def test_scan_last_player_matches_plain_scan(case, data):
+    r, entries, members, wins = case
+    top, table = plain_scan(r, entries, members, wins)
+    assert _scan_last_player(r, entries, members, _Argmax(wins))[:2] == (top, table)
+    below = data.draw(st.integers(-1, top - 1))
+    assert _scan_last_player(r, entries, members, _Argmax(wins), below)[:2] == (top, table)
+    above = data.draw(st.integers(top, top + 2))
+    assert _scan_last_player(r, entries, members, _Argmax(wins), above)[1] is None
+
+
+def test_exact_p_holds_no_memory_after_return():
+    # a walk kept alive by a reference cycle would hold its memo until a gc pass
+    enumerate_family("dictator", 2)  # the family cache is allowed to stay
+    gc.disable()
+    tracemalloc.start()
+    try:
+        exact_p(3, 2, "dictator", allow_slow=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 1 << 20
+
+
 # --- local search -----------------------------------------------------------
 
 
@@ -297,6 +362,14 @@ PINNED_WITNESSES = [
      "d613f0d3b474b52d572e1640d965646a60fc8182fbd00f7d7538ad786bcb2070"),
     (("local_search_p", 2), "89/256", "local-search", 96,
      "cc6f13414a4d39c43c8b30181a24b811861febdf77dc9f930202df286e7b592a"),
+    # local search at t=3 and t=4 as (t, n, kind, seed, restarts), recorded on
+    # the solver as it stood before the index tables of local_search_p
+    (("local_search_p", 3, 3, "dictator", 5, 8), "15/64", "local-search", 32,
+     "393262005a463683285cd4746c0b9ab27af78fa6bc057499173f73bfdd762961"),
+    (("local_search_p", 3, 4, "dictator", 5, 4), "1023/4096", "local-search", 26,
+     "63a2704ac3e58626b9fb5263e58a70ab648f34c32e79662bb051ffe926331a21"),
+    (("local_search_p", 4, 2, "dictator", 0, 8), "31/256", "local-search", 23,
+     "8d825c96ab7e045293780989d273e8f891717a9555e1391059a9588a9e9ddd94"),
 ]
 
 
@@ -308,7 +381,10 @@ def _pinned_call(call):
         return exact_p(*args, allow_slow=True)
     if engine == "branch_bound":
         return _exact_p2_branch_bound(enumerate_family("dictator", args[0]))
-    return local_search_p(2, 4, "dictator", seed=args[0], restarts=32)
+    if len(args) == 1:
+        return local_search_p(2, 4, "dictator", seed=args[0], restarts=32)
+    t, n, kind, seed, restarts = args
+    return local_search_p(t, n, kind, seed=seed, restarts=restarts)
 
 
 @pytest.mark.parametrize(
