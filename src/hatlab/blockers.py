@@ -329,9 +329,10 @@ def construct_blockers(
         raise UnsupportedSizeError(
             f"need n >= {PARTS} so the partition can have nonempty parts, got {n}"
         )
-    delta = Fraction(delta)
+    # compared before Fraction(), which raises OverflowError on an infinite float
     if not 0 <= delta < 1:
         raise ValueError(f"need 0 <= delta < 1, got {delta}")
+    delta = Fraction(delta)
     target = Fraction(1, ELL) * (1 - delta)
     size = 1 << n
     expected_tuples = max(1, math.ceil(target * size / ELL))
@@ -432,8 +433,8 @@ def certify_family(family: BlockerFamily, winning: WinningFamily) -> FamilyCerti
     return FamilyCertification(not failures, family.blocker_count, runs, tuple(failures))
 
 
-def check_pairwise_disjoint(family: BlockerFamily, sample: int | None = None) -> bool:
-    """Exact disjointness check; product families may be spot-checked by sample."""
+def check_pairwise_disjoint(family: BlockerFamily) -> bool:
+    """Exact check that no point lies in two of the family's blockers."""
     if family.blockers is not None:
         seen: set[tuple[int, ...]] = set()
         for b in family.blockers:
@@ -443,28 +444,14 @@ def check_pairwise_disjoint(family: BlockerFamily, sample: int | None = None) ->
                 seen.add(p)
         return True
     assert family.tuples is not None
-    # product structure: pairs are disjoint and tuples are disjoint, so the
-    # products are disjoint exactly when both component lists are
+    # product structure: the complement pairs partition {0,1}^n, so the
+    # products are disjoint exactly when no y-point repeats across tuples
     pts: set[int] = set()
     for ytuple in family.tuples:
         for y in ytuple:
             if y in pts:
                 return False
             pts.add(y)
-    if sample:
-        rng = random.Random(0)
-        picks = [
-            (rng.randrange(1 << (family.n - 1)), rng.randrange(len(family.tuples)))
-            for _ in range(sample)
-        ]
-        seen_p: set[tuple[int, ...]] = set()
-        pairs = family.pair_list()
-        for pi, ti in picks:
-            x, xbar = pairs[pi]
-            for p in ((a, y) for a in (x, xbar) for y in family.tuples[ti]):
-                if p in seen_p:
-                    return False
-                seen_p.add(p)
     return True
 
 

@@ -427,13 +427,17 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str, label: str = "imported") -> Graph:
-    """Inverse of graph_to_text; a vertex id outside [0, vcount) is a ValueError."""
+    """Inverse of graph_to_text.
+
+    A vertex count outside [0, MAX_PRODUCT_VERTICES] or a vertex id outside
+    [0, vcount) is a ValueError; the count is checked before any allocation.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("graph text is empty; expected a vertex count line")
     vcount = int(lines[0])
-    if vcount < 0:
-        raise ValueError(f"negative vertex count {vcount}")
+    if not 0 <= vcount <= MAX_PRODUCT_VERTICES:
+        raise ValueError(f"vertex count {vcount} outside [0, {MAX_PRODUCT_VERTICES}]")
     adj = _empty_adj(vcount)
     loop = [False] * vcount
     for ln in lines[1:]:

@@ -1,10 +1,10 @@
 """Exact and heuristic optimization of the game's success probability.
 
-One bounded depth-first kernel walks the last player's table in product
-order; for each point x_t the other players answer with the best winning set
-of the (t-1)-player game, which collapses the t=2 search space from
-r^(2*2^n) to r^(2^n). It has two callers: exact t=2 and t=3 enumeration, and
-a t=2 branch and bound for larger table spaces, floored by local search.
+One exact engine serves t=2 and t=3: a bounded depth-first walk over the last
+player's table in product order. For each point x_t the other players answer
+with the best winning set of the (t-1)-player game, which collapses the t=2
+search space from r^(2*2^n) to r^(2^n). Local search is a separate, heuristic
+lower bound.
 """
 
 from __future__ import annotations
@@ -106,33 +106,31 @@ def _best_response(
 
 
 def _scan_last_player(
-    r: int, entries: int, members: list[tuple[int, ...]], best: _Argmax, floor: int = -1
-) -> tuple[int, tuple[int, ...] | None, int]:
-    """The first last-player table, in product order, whose best-response total beats `floor`.
+    r: int, entries: int, members: list[tuple[int, ...]], best: _Argmax
+) -> tuple[int, tuple[int, ...]]:
+    """The first last-player table, in product order, with the best best-response total.
 
     A depth-first walk over the table's entries keeps one union u[x] per point
     (the entries whose member contains x) and cuts a subtree when the totals
     with every unassigned entry added to each u[x] cannot beat the incumbent.
     Cuts are strict, so the first optimum in product order survives. Returns
-    (total, table, nodes), or (floor, None, nodes) when nothing beats `floor`;
-    nodes counts every bound evaluated, the root included.
+    (total, table).
     """
     holders = [[x for x, mem in enumerate(members) if i in mem] for i in range(r)]
     # a mask inside another never scores more, so the walk scores maximal masks only
     masks = best.masks
     best = _Argmax([w for w in masks if not any(w != v and w | v == v for v in masks)])
     terms = [best[(1 << entries) - 1][0]] * len(members)
-    state = [floor, None, 1]
-    if sum(terms) > floor:
-        _descend(0, [0] * len(members), terms, [0] * entries, holders, best, state)
-    return state[0], state[1], state[2]
+    state = [-1, None]
+    _descend(0, [0] * len(members), terms, [0] * entries, holders, best, state)
+    return state[0], state[1]
 
 
 def _descend(
     e: int, u: list[int], terms: list[int], table: list[int],
     holders: list[list[int]], best: _Argmax, state: list,
 ) -> None:
-    """Try each member at entry e of `table`; state is [incumbent, its table, nodes].
+    """Try each member at entry e of `table`; state is [incumbent, its table].
 
     terms[x] is point x's bound with entries e.. unassigned. Once entry e is
     set, x keeps terms[x] if the member holds x and drops to lo[x] otherwise,
@@ -145,7 +143,6 @@ def _descend(
     base = sum(lo)
     last = e + 1 == len(table)
     for i, xs in enumerate(holders):
-        state[2] += 1
         bound = base + sum(map(gain.__getitem__, xs))
         if bound <= state[0]:
             continue
@@ -216,8 +213,7 @@ def _exact_last_player(family: WinningFamily, t: int) -> SolveResult:
     wins = sorted(reps)
     members = [family.indices_containing(x) for x in range(1 << n)]
     best = _Argmax(wins)
-    total, table, _ = _scan_last_player(r, entries, members, best)
-    assert table is not None
+    total, table = _scan_last_player(r, entries, members, best)
     cells = partition_from_table(table, r, n * (t - 1)).cells
     rebuilt = [[0] * entries for _ in range(t - 1)]
     for xt, wi in enumerate(_best_response(cells, members, best)[1]):
@@ -236,32 +232,6 @@ def _exact_last_player(family: WinningFamily, t: int) -> SolveResult:
     )
 
 
-def _exact_p2_branch_bound(family: WinningFamily) -> SolveResult:
-    """Exact t=2 optimum for table spaces too large to enumerate.
-
-    The last-player walk, started with the total of a local search as its
-    floor; `work` is the walk's node count. The bound is weak near the root,
-    so the 4^16-table dictator stretch at n=4 can take hours; that is the
-    price of exactness behind the allow_slow gate.
-    """
-    n, r = family.n, family.r
-    members = [family.indices_containing(x) for x in range(1 << n)]
-    best = _Argmax(family.sets)
-    seed_result = local_search_p(2, n, family.kind, seed=0, restarts=16)
-    floor = int(seed_result.value * (1 << (2 * n)))
-    _, table, nodes = _scan_last_player(r, 1 << n, members, best, floor)
-    if table is None:
-        # local search already found the optimum; rebuild its table
-        table = seed_result.witness.tables[1]
-    total, f1 = _best_response(partition_from_table(table, r, n).cells, members, best)
-    return SolveResult(
-        value=Fraction(total, 1 << (2 * n)),
-        witness=Strategy(n=n, t=2, tables=(tuple(f1), table)),
-        method="best-response-exact",
-        work=nodes,
-    )
-
-
 def exact_p(
     t: int,
     n: int,
@@ -273,11 +243,10 @@ def exact_p(
     """Exact optimum success probability with an optimal witness strategy.
 
     Supported budgets: t=1 (any enumerable family); n=1 (any t up to 20);
-    t=2 and t=3 through one bounded last-player walk, which either scans up to
-    r^(2^(n(t-1))) <= 70000 tables (t=2: n <= 3 for the three standard kinds;
-    t=3: n=2, behind allow_slow) or, floored by local search, stretches to
-    larger t=2 spaces (n <= 4), also behind allow_slow. `threads` is accepted
-    for compatibility and has no effect.
+    t=2 and t=3 through one bounded last-player walk over r^(2^(n(t-1)))
+    tables. Up to 70000 tables it runs freely (t=2, n <= 3 for the three
+    standard kinds); t=3 (n=2) and larger t=2 spaces (n <= 4) run behind
+    allow_slow. `threads` is accepted for compatibility and has no effect.
     """
     if t < 1:
         raise UnsupportedSizeError(f"need t >= 1, got t={t}")
@@ -294,10 +263,8 @@ def exact_p(
                 "t=3 exact solving is gated behind allow_slow=True"
             )
         n_tables = family.r ** (1 << (n * (t - 1)))
-        if n_tables <= MAX_LAST_PLAYER_TABLES:
+        if n_tables <= MAX_LAST_PLAYER_TABLES or (t == 2 and allow_slow and n <= 4):
             return _exact_last_player(family, t)
-        if t == 2 and allow_slow and n <= 4:
-            return _exact_p2_branch_bound(family)
         raise UnsupportedSizeError(
             f"t={t} exact solving enumerates {n_tables} tables for (n={n}, {kind}), "
             f"over the {MAX_LAST_PLAYER_TABLES} budget; pass allow_slow=True "

@@ -166,7 +166,7 @@ def test_criterion_09_constructed_blockers():
     ok = family.k == 12 == k_sequence(2)
     ok = ok and not family.stalled
     ok = ok and Fraction(85, 100) / 6 <= family.beta <= Fraction(1, 6)
-    ok = ok and check_pairwise_disjoint(family, sample=100)
+    ok = ok and check_pairwise_disjoint(family)
     winning16 = enumerate_family("dictator", 16)
     cert = certify_family(family, winning16)
     ok = ok and cert.certified and cert.blockers_covered == family.blocker_count

@@ -11,6 +11,7 @@ import pytest
 
 from hatlab.blockers import (
     Blocker,
+    BlockerFamily,
     base_blockers,
     certify_family,
     check_pairwise_disjoint,
@@ -269,12 +270,25 @@ def test_construct_degenerate_n4_covers_weight_two_layer():
         assert brute_force_is_blocker(list(b.points), 4)
 
 
+def test_product_family_disjointness_is_exact():
+    # 8 complement pairs times one 6-tuple of distinct points: 8 disjoint blockers
+    family = BlockerFamily(
+        t=2, n=4, k=12, beta=Fraction(96, 256), tuples=[(3, 5, 6, 9, 10, 12)]
+    )
+    assert family.blocker_count == 8
+    assert check_pairwise_disjoint(family)
+    assert not check_pairwise_disjoint(
+        BlockerFamily(t=2, n=4, k=12, beta=Fraction(96, 256),
+                      tuples=[(3, 5, 6, 9, 10, 12), (3, 1, 2, 4, 8, 15)])
+    )
+
+
 def test_construct_n16_window_and_class_certification():
     family = construct_blockers(16, seed=7, delta=0.15)
     assert family.k == 12
     assert Fraction(85, 100) / 6 <= family.beta <= Fraction(1, 6)
     assert family.blocker_count == (1 << 15) * len(family.tuples)
-    assert check_pairwise_disjoint(family, sample=50)
+    assert check_pairwise_disjoint(family)
     assert union_measure(family) == family.beta
     cert = certify_family(family, enumerate_family("dictator", 16))
     assert cert.certified
@@ -324,6 +338,12 @@ def test_construct_stall_contract():
 def test_construct_rejects_tiny_n():
     with pytest.raises(UnsupportedSizeError):
         construct_blockers(3, seed=0)
+
+
+@pytest.mark.parametrize("delta", [float("inf"), float("-inf"), float("nan")])
+def test_construct_rejects_non_finite_delta(delta):
+    with pytest.raises(ValueError, match="delta"):
+        construct_blockers(8, seed=1, delta=delta)
 
 
 # --- serialization ----------------------------------------------------------

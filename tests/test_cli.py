@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from hatlab.graphs import MAX_PRODUCT_VERTICES
+
 CLI = [sys.executable, "-m", "hatlab.cli"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -329,8 +331,13 @@ def test_usage_error_exits_2():
     assert run_cli("alpha", "--graph", "kneser").returncode == 2
     assert run_cli("blocker", "verify", "--file", "/nonexistent.json").returncode == 2
     assert run_cli("blocker", "bound", "--k", "2", "--beta", "x/y").returncode == 2
-    for beta in ("0/0", "1/0"):
-        res = run_cli("blocker", "bound", "--k", "2", "--beta", beta)
+    for args in (
+        ("blocker", "bound", "--k", "2", "--beta", "0/0"),
+        ("blocker", "bound", "--k", "2", "--beta", "1/0"),
+        ("blocker", "build", "--n", "8", "--seed", "1", "--delta", "inf"),
+        ("blocker", "build", "--n", "8", "--seed", "1", "--delta", "-inf"),
+    ):
+        res = run_cli(*args)
         assert res.returncode == 2, res.stderr
         assert res.stdout == ""
         assert "Traceback" not in res.stderr
@@ -359,8 +366,10 @@ def test_empty_or_negative_graph_exits_2(args):
     [
         ("vertex_out_of_range.txt", b"2\n0: 5\n"),
         ("truncated.hlg", b"HLG1" + (1000).to_bytes(4, "little") + b"\x01"),
+        ("count_2_70.txt", b"%d\n" % (1 << 70)),
+        ("count_over_max.txt", b"%d\n" % (MAX_PRODUCT_VERTICES + 1)),
     ],
-    ids=["text", "binary"],
+    ids=["text", "binary", "count-2^70", "count-over-max"],
 )
 def test_graph_import_malformed_exits_2(tmp_path, name, data):
     f = tmp_path / name

@@ -10,6 +10,7 @@ import pytest
 
 from hatlab.errors import UnsupportedSizeError
 from hatlab.graphs import (
+    MAX_PRODUCT_VERTICES,
     Graph,
     complete_graph,
     edgeless_graph,
@@ -359,6 +360,13 @@ def test_text_vertex_out_of_range_rejected(text):
     # either side of the colon; -1 used to index the last vertex silently
     with pytest.raises(ValueError, match="outside"):
         graph_from_text(text)
+
+
+@pytest.mark.parametrize("vcount", [MAX_PRODUCT_VERTICES + 1, 1 << 70, -1])
+def test_text_vertex_count_out_of_range_rejected(vcount):
+    # checked before the adjacency list of vcount entries is allocated
+    with pytest.raises(ValueError, match="vertex count"):
+        graph_from_text(f"{vcount}\n")
 
 
 def test_binary_length_mismatch_rejected():

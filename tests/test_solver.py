@@ -176,16 +176,6 @@ def test_monotonicity_in_t():
     assert exact_p(2, 3, "dictator").value <= exact_p(1, 3, "dictator").value
 
 
-def test_branch_bound_engine_matches_enumeration():
-    # the stretch engine must agree with plain enumeration where both run
-    from hatlab.solver import _exact_p2_branch_bound
-
-    for n, expected in [(2, P22), (3, P23)]:
-        fam = enumerate_family("dictator", n)
-        res = _exact_p2_branch_bound(fam)
-        assert res.value == expected
-
-
 def test_one_player_at_the_width_budget():
     assert exact_p(1, 16, "dictator").value == Fraction(1, 2)
     with pytest.raises(UnsupportedSizeError):
@@ -240,15 +230,12 @@ def kernel_cases(draw):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(kernel_cases(), st.data())
-def test_scan_last_player_matches_plain_scan(case, data):
+@given(kernel_cases())
+def test_scan_last_player_matches_plain_scan(case):
     r, entries, members, wins = case
-    top, table = plain_scan(r, entries, members, wins)
-    assert _scan_last_player(r, entries, members, _Argmax(wins))[:2] == (top, table)
-    below = data.draw(st.integers(-1, top - 1))
-    assert _scan_last_player(r, entries, members, _Argmax(wins), below)[:2] == (top, table)
-    above = data.draw(st.integers(top, top + 2))
-    assert _scan_last_player(r, entries, members, _Argmax(wins), above)[1] is None
+    assert _scan_last_player(r, entries, members, _Argmax(wins)) == plain_scan(
+        r, entries, members, wins
+    )
 
 
 def test_exact_p_holds_no_memory_after_return():
@@ -352,10 +339,6 @@ PINNED_WITNESSES = [
      "0e9aed05b81d1762fc108b6926a0c9353aa74bc084260cd45fa5ac979bd8bdc0"),
     (("exact_p", 3, 2, "monotone"), "7/32", "best-response-exact", 65536,
      "0e9aed05b81d1762fc108b6926a0c9353aa74bc084260cd45fa5ac979bd8bdc0"),
-    (("branch_bound", 2), "5/16", "best-response-exact", 31,
-     "a76de852dc2db0aae095c410ac7165a8554844a26241372af5497b24f014c203"),
-    (("branch_bound", 3), "11/32", "best-response-exact", 7276,
-     "6204f132ae2ede228e6f023f30626bd3837c1428fa20514eee445d10c10d853e"),
     (("local_search_p", 0), "89/256", "local-search", 91,
      "04cadd075e5f28f938833b0aa43dcf1e0d678935374b304fef1d40cf179647e7"),
     (("local_search_p", 1), "89/256", "local-search", 92,
@@ -374,13 +357,9 @@ PINNED_WITNESSES = [
 
 
 def _pinned_call(call):
-    from hatlab.solver import _exact_p2_branch_bound
-
     engine, *args = call
     if engine == "exact_p":
         return exact_p(*args, allow_slow=True)
-    if engine == "branch_bound":
-        return _exact_p2_branch_bound(enumerate_family("dictator", args[0]))
     if len(args) == 1:
         return local_search_p(2, 4, "dictator", seed=args[0], restarts=32)
     t, n, kind, seed, restarts = args
@@ -396,3 +375,14 @@ def test_pinned_witnesses(call, value, method, work, digest):
     res = _pinned_call(call)
     assert (str(res.value), res.method, res.work) == (value, method, work)
     assert hashlib.sha256(repr(res.witness.tables).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind", ["dictator", "intersecting", "monotone"])
+def test_exact_p_above_table_budget_needs_allow_slow(kind, monkeypatch):
+    # with the budget below every t=2, n=3 space, only the allow_slow route runs,
+    # and it must return the same witness as the budgeted enumeration
+    monkeypatch.setattr("hatlab.solver.MAX_LAST_PLAYER_TABLES", 100)
+    with pytest.raises(UnsupportedSizeError, match="allow_slow"):
+        exact_p(2, 3, kind)
+    row = next(row for row in PINNED_WITNESSES if row[0] == ("exact_p", 2, 3, kind))
+    test_pinned_witnesses(*row)
