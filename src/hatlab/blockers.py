@@ -217,6 +217,12 @@ class PackedTuples(Sequence):
     def __len__(self) -> int:
         return self._len
 
+    def __iter__(self):
+        if self._width == 0:
+            return iter([()] * self._len)
+        # one shared iterator, width times: zip groups the flat array into rows
+        return zip(*[iter(self._flat)] * self._width)
+
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self)[i]
@@ -322,8 +328,9 @@ def construct_blockers(
     a (1 - delta)/6 fraction of {0,1}^n; every product of a complement pair
     with a kept tuple is a blocker.
 
-    A stalled run (too many consecutive collisions) returns the partial
-    family with `stalled` set instead of raising.
+    A stalled run (more than `stall_limit` consecutive collisions) returns
+    the partial family with `stalled` set instead of raising. A negative
+    `stall_limit` is a ValueError.
     """
     if n < PARTS:
         raise UnsupportedSizeError(
@@ -338,6 +345,8 @@ def construct_blockers(
     expected_tuples = max(1, math.ceil(target * size / ELL))
     if stall_limit is None:
         stall_limit = 50 * expected_tuples
+    elif stall_limit < 0:
+        raise ValueError(f"need stall_limit >= 0, got {stall_limit}")
 
     rng = random.Random(seed)
     covered = 0

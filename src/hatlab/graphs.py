@@ -195,83 +195,94 @@ def _eligible_mask(g: Graph) -> int:
     return mask
 
 
-def _clique_cover_bound(adj: tuple[int, ...], pool: int) -> int:
-    """Greedy partition of the pool into cliques; an IS takes at most one each."""
+def _clique_cover_bound(adj: tuple[int, ...], pool: int, cap: int) -> int:
+    """Greedy partition of the pool into cliques; an IS takes at most one each.
+
+    Returns the number of cliques if it is at most `cap`, and otherwise some
+    number above `cap`: counting stops as soon as it passes `cap`, because
+    past that point the caller cannot prune.
+    """
     cnt = 0
     rem = pool
-    while rem:
-        v = (rem & -rem).bit_length() - 1
-        cand = rem & adj[v]
-        rem &= ~(1 << v)
+    while rem and cnt <= cap:
+        low = rem & -rem
+        cand = rem & adj[low.bit_length() - 1]
+        rem ^= low
         while cand:
-            u = (cand & -cand).bit_length() - 1
-            rem &= ~(1 << u)
-            cand &= adj[u]
+            u = cand & -cand
+            rem ^= u
+            cand &= adj[u.bit_length() - 1]
         cnt += 1
     return cnt
 
 
-def _greedy_lower(adj: tuple[int, ...], pool: int, vcount: int) -> tuple[int, int]:
-    order = sorted(
-        (v for v in range(vcount) if pool >> v & 1),
-        key=lambda v: ((adj[v] & pool).bit_count(), v),
-    )
+def _greedy_lower(adj: tuple[int, ...], pool: int) -> tuple[int, int]:
+    # ascending (degree in pool, vertex), packed as one int per vertex
+    keys = []
+    m = pool
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        keys.append((adj[v] & pool).bit_count() << 32 | v)
+    keys.sort()
     chosen = 0
     blocked = 0
-    for v in order:
+    for key in keys:
+        v = key & 0xFFFFFFFF
         if not (blocked >> v & 1):
             chosen |= 1 << v
             blocked |= adj[v] | (1 << v)
     return chosen.bit_count(), chosen
 
 
-def _mis_search(adj: tuple[int, ...], pool: int, vcount: int) -> tuple[int, int, int]:
-    """Exact max independent set within pool: (size, set_bits, nodes)."""
-    best_size, best_set = _greedy_lower(adj, pool, vcount)
+def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
+    """Exact max independent set within pool: (size, set_bits, nodes).
+
+    Each node peels every vertex of degree 0 or 1 in the pool (always safe to
+    take), scanning in ascending order and rescanning until a pass peels
+    nothing. That last pass has every degree at hand, so it also picks the
+    branch vertex: maximum degree, lowest index on ties. A node is pruned when
+    the greedy clique cover of its pool, capped at the room left under the
+    incumbent, leaves no room to beat it.
+    """
+    best_size, best_set = _greedy_lower(adj, pool)
     nodes = 0
 
     def rec(p: int, size: int, chosen: int) -> None:
         nonlocal best_size, best_set, nodes
         nodes += 1
-        # peel isolated and degree-1 vertices: always safe to take
         while True:
-            changed = False
+            peeled = False
+            branch_deg = -1
             m = p
             while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                if not (p >> v & 1):
-                    continue
-                d = adj[v] & p
-                if d == 0:
-                    p &= ~(1 << v)
-                    chosen |= 1 << v
+                low = m & -m
+                a = adj[low.bit_length() - 1]
+                d = a & p
+                if d & (d - 1) == 0:
+                    # degree 0 or 1: take the vertex, drop it and its neighbour
+                    p ^= d | low
+                    m &= p
+                    chosen |= low
                     size += 1
-                    changed = True
-                elif d & (d - 1) == 0:
-                    p &= ~(adj[v] | (1 << v))
-                    chosen |= 1 << v
-                    size += 1
-                    changed = True
-            if not changed:
+                    peeled = True
+                else:
+                    m ^= low
+                    if not peeled:
+                        c = d.bit_count()
+                        if c > branch_deg:
+                            branch_deg, branch, branch_adj = c, low, a
+            if not peeled:
                 break
         if p == 0:
             if size > best_size:
                 best_size, best_set = size, chosen
             return
-        if size + _clique_cover_bound(adj, p) <= best_size:
+        room = best_size - size
+        if _clique_cover_bound(adj, p, room) <= room:
             return
-        # branch on a maximum-degree vertex (lowest index on ties)
-        bv, bd = -1, -1
-        m = p
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            d = (adj[v] & p).bit_count()
-            if d > bd:
-                bd, bv = d, v
-        rec(p & ~adj[bv] & ~(1 << bv), size + 1, chosen | (1 << bv))
-        rec(p & ~(1 << bv), size, chosen)
+        rec(p & ~(branch_adj | branch), size + 1, chosen | branch)
+        rec(p ^ branch, size, chosen)
 
     rec(pool, 0, 0)
     return best_size, best_set, nodes
@@ -297,7 +308,7 @@ def max_independent_set(g: Graph) -> MisResult:
             f"exact MIS supports up to {MAX_MIS_VERTICES} vertices, got {g.vcount}; "
             "use a sampling lower bound instead"
         )
-    size, set_bits, nodes = _mis_search(g.adj, _eligible_mask(g), g.vcount)
+    size, set_bits, nodes = _mis_search(g.adj, _eligible_mask(g))
     _verify_independent(g, set_bits)
     return MisResult(
         set_bits=set_bits,
@@ -309,30 +320,48 @@ def max_independent_set(g: Graph) -> MisResult:
 
 def mis_size_in_subset(g: Graph, subset: int) -> int:
     """Size of the largest independent set using only vertices in `subset`."""
-    size, _, _ = _mis_search(g.adj, subset & _eligible_mask(g), g.vcount)
+    size, _, _ = _mis_search(g.adj, subset & _eligible_mask(g))
     return size
 
 
-def mis_size_all_subsets(g: Graph) -> list[int]:
-    """alpha(G[W]) for every W, by subset DP. Needs vcount <= 20."""
+def mis_size_all_subsets(g: Graph) -> bytes:
+    """alpha(G[W]) for every W, by subset DP. Needs vcount <= 20.
+
+    Returns bytes of length 2^vcount whose byte w is alpha(G[W]) for the
+    vertex set W with bitmask w. The table lives in one int, one byte lane
+    per subset. Adding vertex h appends the block of subsets that contain h:
+    lane r of that block is max(a[r], 1 + a[r & ~adj[h]]), computed for all
+    lanes at once. As a[r & ~adj[h]] <= a[r] (alpha is monotone in W), that
+    max is a[r] + 1 exactly where a[r & ~adj[h]] >= a[r], and a[r] elsewhere.
+    """
     if g.vcount > 20:
         raise UnsupportedSizeError(
             f"subset DP needs vcount <= 20, got {g.vcount}"
         )
-    n = g.vcount
-    a = [0] * (1 << n)
-    adj = g.adj
-    loop = g.self_loop
-    for w in range(1, 1 << n):
-        v = (w & -w).bit_length() - 1
-        rest = w & (w - 1)
-        if loop[v]:
-            a[w] = a[rest]
-        else:
-            take = 1 + a[w & ~adj[v] & ~(1 << v)]
-            skip = a[rest]
-            a[w] = take if take > skip else skip
-    return a
+    # Every lane holds a value <= 20 < 128, so (lane | 0x80) - lane never
+    # borrows from the next lane and a[r] + 1 never carries into it.
+    a = 0  # alpha of the empty graph, the one subset of no vertices
+    for h in range(g.vcount):
+        lanes = 1 << h
+        if g.self_loop[h]:
+            a |= a << (8 * lanes)
+            continue
+        # gather a[r & ~adj[h]]: per neighbour j, copy each lane with bit j
+        # clear onto the lane with bit j set
+        gathered = a
+        nbrs = g.adj[h] & (lanes - 1)
+        while nbrs:
+            j = (nbrs & -nbrs).bit_length() - 1
+            nbrs &= nbrs - 1
+            run = 1 << j
+            pattern = (b"\xff" * run + b"\x00" * run) * (lanes >> (j + 1))
+            gathered &= int.from_bytes(pattern, "little")
+            gathered |= gathered << (8 * run)
+        high = int.from_bytes(b"\x80" * lanes, "little")
+        # 0x80 in the lanes where gathered >= a, 0 elsewhere
+        ge = ((gathered | high) - a) & high
+        a |= (a + (ge >> 7)) << (8 * lanes)
+    return a.to_bytes(1 << g.vcount, "little")
 
 
 def inclusion_maximal_independent_sets(g: Graph, limit: int = 200_000) -> list[int]:
@@ -395,7 +424,9 @@ def maximum_independent_sets(g: Graph, limit: int = 200_000) -> list[int]:
                     f"more than {limit} maximum independent sets"
                 )
             return
-        if size + _clique_cover_bound(adj, p) < alpha:
+        # prune when the cover shows the set cannot still reach alpha
+        room = alpha - size - 1
+        if _clique_cover_bound(adj, p, room) <= room:
             return
         v = (p & -p).bit_length() - 1
         rec(p & ~adj[v] & ~(1 << v), size + 1, chosen | (1 << v))

@@ -250,6 +250,29 @@ def test_solve_witness_stdout_pinned(family, size, digest):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
 
+# sha256 of stdout, recorded before the MIS search nodes were made cheaper;
+# `alpha` prints nodes_explored, so these pin the search tree too
+ALPHA_STDOUT_DIGESTS = [
+    (("alpha", "--graph", "shift:8"),
+     "0e1db108e31d929fee43c746428871c86f906ca212b3fa2d4a4df17df767fb27"),
+    (("alpha", "--graph", "kneser:3", "--power", "2"),
+     "9fdba41df3ccb29f63a3fddabc00bd6d91f27658ed50fbb96203d178e8c94275"),
+    (("alpha", "--graph", "gnp:40:0.2:3"),
+     "48ffb9090698565e78484ce6acdde6c37e6c9b363aca4a556c156b0ea80d171c"),
+    (("alphastar", "--graph", "shift:8", "--mode", "mc", "--samples", "500", "--seed", "4"),
+     "9874dcd1bd5d5c6d694eac850bbe889d67f0dfa853b41c8bb583482354c6eee6"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,digest", ALPHA_STDOUT_DIGESTS, ids=[" ".join(a[:3]) for a, _ in ALPHA_STDOUT_DIGESTS]
+)
+def test_alpha_stdout_pinned(args, digest):
+    res = run_cli(*args)
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
 def test_blocker_oracle_stdout_pinned(tmp_path):
     # sha256 of `blocker verify` stdout and of a `blocker build --out` file,
     # recorded before the oracle was rewritten as a lane test. The verified
@@ -336,6 +359,7 @@ def test_usage_error_exits_2():
         ("blocker", "bound", "--k", "2", "--beta", "1/0"),
         ("blocker", "build", "--n", "8", "--seed", "1", "--delta", "inf"),
         ("blocker", "build", "--n", "8", "--seed", "1", "--delta", "-inf"),
+        ("blocker", "build", "--n", "8", "--seed", "1", "--stall-limit", "-5"),
     ):
         res = run_cli(*args)
         assert res.returncode == 2, res.stderr

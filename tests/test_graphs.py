@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -23,6 +24,7 @@ from hatlab.graphs import (
     kneser,
     max_independent_set,
     maximum_independent_sets,
+    mis_size_all_subsets,
     mis_size_in_subset,
     random_graph,
     shift_graph,
@@ -309,6 +311,82 @@ def test_maximum_independent_sets_enumeration():
     sets6 = maximum_independent_sets(shift_graph(6))
     assert len(sets6) == 20
     assert all(s.bit_count() == 9 for s in sets6)
+
+
+# (graph, size, nodes_explored, sha256 of hex(set_bits)), recorded before the
+# search nodes were made cheaper: the search tree and the set it returns must
+# not change
+PINNED_SEARCH_TREES = [
+    ("shift:4", 4, 17, "b7aa1738d7635612ba85eb341f5d55f01755baa6453d849768f636e99f66fab7"),
+    ("shift:5", 6, 89, "7791c19866d9f588a104c8851cb80ea6ccb888576bc0e5aaa200e85a20d3c235"),
+    ("shift:6", 9, 323, "b934860341c8eaf3b9ecb126f707e365f145b4bc6c68448851625c81eb244ff0"),
+    ("shift:7", 12, 923, "31cf485e2612b101955aa5fea9e7759e7742c0afed79520c67b833c1cb7bc526"),
+    ("shift:8", 16, 2925, "a959173846360daa0efe46921b628148dc5f85652ab9cccb96cb80424bd6490a"),
+    ("shift:9", 20, 8975, "edd31a3c2202c325f76b60142da07d3333a6edaddf6f0b6c78891aaeedd9b261"),
+    ("shift:10", 25, 29827, "ba66f89f1d53b44f20440d8f61b3904dbbc7a7da447e06ce8345282a885692c9"),
+    ("kneser:3", 4, 1, "749461858b2297be8c1ba77a2427dbb669a7d9811014b0bf1f16ffe8cae2c709"),
+    ("kneser:4", 8, 1, "d936946fe69c0823024c4060ce440a38a24677e092ee9ac9510dc82d90af3d41"),
+    ("kneser:5", 16, 1, "727f65570cf4893d2e8412a160f9c9b8e3d184017aff37b36d72672a44744097"),
+    ("kneser:2^2", 5, 1, "1979a96c2acb51778c07da9c54c9426d5970972de45d24be3415bf03aa7283c4"),
+    ("kneser:2^3", 14, 1, "37c5a0c6ac0850f609fee72507e9825dc739a9b742d004be3bd5cac1d0366065"),
+    ("kneser:2^4", 41, 1, "9667e7925652a34c4582f1a8ac3e974e7e5b43191f58c6ef8d77266064c073e7"),
+    ("kneser:2^5", 122, 1, "5046f4e5a9eb2a56850e1e430c5aa76966c6d0e6e2e7f18c0c19502d45ae8a57"),
+    ("kneser:2^6", 365, 1, "6ffc7b700e44a36140f3444f365b68c5e569a8dbfa1727fd14c1787f25e51e67"),
+    ("kneser:3^2", 22, 55, "0af8f479d25f08fd9fe0a0bd6aaa562d420c60c324ac398f8961b0efa885004f"),
+    ("kneser:4xkneser:3", 44, 393, "7e59d8b9843b93dccb4d994ed2b95c6b038e2714265ae0294aadcd4644146b10"),
+    ("gnp:80:0.1:0", 27, 1215, "d526c8d4146dc7eea58363f0b1a9a49ad6f06685254c4a14b3bc32fcfc164d27"),
+    ("gnp:80:0.1:1", 28, 809, "4c8506eef2da1788591b2065fa5a65470c34ba44acfec9d9bea0bae3ce3709c2"),
+    ("gnp:80:0.1:2", 29, 1649, "dc0474089eddc7513a44b05dbaff50bbcebfa22cccaf34dcdf35571795299241"),
+    ("gnp:80:0.1:3", 28, 727, "e0e5f006f1121e896a97e681b8440559ee911b7c1e593e73ab741d304a3110ab"),
+    ("gnp:80:0.1:4", 27, 1273, "6429be7c3d1159ac494f5e94e0d9ccc6ef6f80e5f649bdd451323750dc0d79db"),
+]
+
+
+def _pinned_graph(spec: str) -> Graph:
+    kind, _, arg = spec.partition(":")
+    if kind == "shift":
+        return shift_graph(int(arg))
+    if kind == "gnp":
+        n, p, seed = arg.split(":")
+        return random_graph(int(n), float(p), int(seed))
+    if arg == "4xkneser:3":
+        return hamming_product(kneser(4), kneser(3))
+    base, _, t = arg.partition("^")
+    return hamming_power(kneser(int(base)), int(t or 1))
+
+
+@pytest.mark.parametrize(
+    "spec,size,nodes,digest", PINNED_SEARCH_TREES, ids=[r[0] for r in PINNED_SEARCH_TREES]
+)
+def test_mis_search_tree_pinned(spec, size, nodes, digest):
+    res = max_independent_set(_pinned_graph(spec))
+    assert (res.size, res.nodes_explored) == (size, nodes)
+    assert hashlib.sha256(hex(res.set_bits).encode()).hexdigest() == digest
+
+
+def _all_looped(m: int) -> Graph:
+    return Graph(m, (0,) * m, (True,) * m, f"looped({m})")
+
+
+SUBSET_DP_CLOSED_FORMS = {
+    "complete": (complete_graph, lambda w: int(w != 0)),
+    "edgeless": (edgeless_graph, int.bit_count),
+    "all-looped": (_all_looped, lambda w: 0),
+}
+
+
+@pytest.mark.parametrize("vcount", [0, 1, 9, 20, 21])
+@pytest.mark.parametrize("kind", list(SUBSET_DP_CLOSED_FORMS))
+def test_subset_dp_closed_forms(kind, vcount):
+    build, alpha_of = SUBSET_DP_CLOSED_FORMS[kind]
+    g = build(vcount)
+    if vcount > 20:
+        with pytest.raises(UnsupportedSizeError, match="vcount <= 20"):
+            mis_size_all_subsets(g)
+        return
+    table = mis_size_all_subsets(g)
+    assert type(table) is bytes and len(table) == 1 << vcount
+    assert table == bytes(alpha_of(w) for w in range(1 << vcount))
 
 
 def test_mis_budget():

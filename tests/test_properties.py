@@ -154,6 +154,17 @@ def test_mis_matches_subset_dp(g, data):
     assert mis_size_in_subset(g, w) == table[w]
 
 
+@settings(bounded, max_examples=6)
+@given(graphs(min_vertices=17, max_vertices=20), st.data())
+def test_subset_dp_at_the_lane_boundary(g, data):
+    # 2^17..2^20 byte lanes, the top of the subset DP's budget
+    table = mis_size_all_subsets(g)
+    assert len(table) == 1 << g.vcount
+    for w in data.draw(st.lists(st.integers(0, (1 << g.vcount) - 1), min_size=4, max_size=4)):
+        assert table[w] == mis_size_in_subset(g, w)
+    assert table[-1] == mis_size_in_subset(g, (1 << g.vcount) - 1)
+
+
 # --- certification oracle against the brute force ---------------------------
 
 
