@@ -300,7 +300,7 @@ class BlockerFamily:
 def base_blockers(n: int) -> BlockerFamily:
     """The t=1 family: every complement pair {x, xbar}. Union measure 1."""
     if n < 1:
-        raise UnsupportedSizeError(f"need n >= 1, got {n}")
+        raise ValueError(f"need n >= 1, got {n}")
     full = (1 << n) - 1
     blockers = tuple(
         Blocker(t=1, n=n, points=((x,), (full ^ x,)))

@@ -161,7 +161,7 @@ def enumerate_family(kind: str, n: int) -> WinningFamily:
     if kind not in FAMILY_KINDS:
         raise ValueError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
     if n < 1:
-        raise UnsupportedSizeError(f"need n >= 1, got n={n}")
+        raise ValueError(f"need n >= 1, got n={n}")
     if kind == "dictator":
         if n > MAX_DICTATOR_N:
             raise UnsupportedSizeError(

@@ -11,6 +11,7 @@ import random
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import UnsupportedSizeError
 
@@ -26,6 +27,15 @@ class Graph:
     adj: tuple[int, ...]
     self_loop: tuple[bool, ...]
     label: str
+
+    @cached_property
+    def eligible(self) -> int:
+        """Bitmask of the vertices without a self-loop: those an independent set may use."""
+        mask = 0
+        for v in range(self.vcount):
+            if not self.self_loop[v]:
+                mask |= 1 << v
+        return mask
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -105,7 +115,7 @@ def hamming_product(g: Graph, h: Graph) -> Graph:
 
 def hamming_power(g: Graph, t: int) -> Graph:
     if t < 1:
-        raise UnsupportedSizeError(f"need t >= 1, got {t}")
+        raise ValueError(f"need t >= 1, got {t}")
     out = g
     for _ in range(t - 1):
         out = hamming_product(out, g)
@@ -185,14 +195,6 @@ class MisResult:
             out.append((m & -m).bit_length() - 1)
             m &= m - 1
         return tuple(out)
-
-
-def _eligible_mask(g: Graph) -> int:
-    mask = 0
-    for v in range(g.vcount):
-        if not g.self_loop[v]:
-            mask |= 1 << v
-    return mask
 
 
 def _clique_cover_bound(adj: tuple[int, ...], pool: int, cap: int) -> int:
@@ -308,7 +310,7 @@ def max_independent_set(g: Graph) -> MisResult:
             f"exact MIS supports up to {MAX_MIS_VERTICES} vertices, got {g.vcount}; "
             "use a sampling lower bound instead"
         )
-    size, set_bits, nodes = _mis_search(g.adj, _eligible_mask(g))
+    size, set_bits, nodes = _mis_search(g.adj, g.eligible)
     _verify_independent(g, set_bits)
     return MisResult(
         set_bits=set_bits,
@@ -320,7 +322,7 @@ def max_independent_set(g: Graph) -> MisResult:
 
 def mis_size_in_subset(g: Graph, subset: int) -> int:
     """Size of the largest independent set using only vertices in `subset`."""
-    size, _, _ = _mis_search(g.adj, subset & _eligible_mask(g))
+    size, _, _ = _mis_search(g.adj, subset & g.eligible)
     return size
 
 
@@ -370,7 +372,7 @@ def inclusion_maximal_independent_sets(g: Graph, limit: int = 200_000) -> list[i
     A strictly larger family than maximum_independent_sets; useful when the
     distinction between "largest" and "unextendable" matters.
     """
-    eligible = _eligible_mask(g)
+    eligible = g.eligible
     nonadj = [
         eligible & ~g.adj[v] & ~(1 << v) if eligible >> v & 1 else 0
         for v in range(g.vcount)
@@ -410,7 +412,7 @@ def inclusion_maximal_independent_sets(g: Graph, limit: int = 200_000) -> list[i
 def maximum_independent_sets(g: Graph, limit: int = 200_000) -> list[int]:
     """Every maximum independent set, as bitmasks in ascending order."""
     alpha = max_independent_set(g).size
-    pool = _eligible_mask(g)
+    pool = g.eligible
     adj = g.adj
     out: list[int] = []
 

@@ -336,6 +336,12 @@ def test_construct_stall_contract():
     assert cert.certified
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_base_blockers_reject_non_positive_n(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        base_blockers(n)
+
+
 def test_construct_rejects_tiny_n():
     with pytest.raises(UnsupportedSizeError):
         construct_blockers(3, seed=0)

@@ -360,6 +360,11 @@ def test_usage_error_exits_2():
         ("blocker", "build", "--n", "8", "--seed", "1", "--delta", "inf"),
         ("blocker", "build", "--n", "8", "--seed", "1", "--delta", "-inf"),
         ("blocker", "build", "--n", "8", "--seed", "1", "--stall-limit", "-5"),
+        ("solve", "--t", "0", "--n", "2"),
+        ("solve", "--t", "2", "--n", "0"),
+        ("solve", "--t", "0", "--n", "2", "--mode", "search"),
+        ("family", "--n", "-1"),
+        ("alpha", "--graph", "shift:4", "--power", "0"),
     ):
         res = run_cli(*args)
         assert res.returncode == 2, res.stderr

@@ -159,6 +159,13 @@ def test_enumeration_budget_errors(kind, n):
         enumerate_family(kind, n)
 
 
+@pytest.mark.parametrize("kind", ["dictator", "intersecting", "monotone"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_non_positive_n_is_a_usage_error(kind, n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        enumerate_family(kind, n)
+
+
 def test_families_sorted_and_balanced():
     for kind in ("dictator", "intersecting", "monotone"):
         for n in (1, 2, 3, 4):

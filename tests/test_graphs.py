@@ -94,6 +94,12 @@ def test_kneser_budget():
         kneser(14)
 
 
+@pytest.mark.parametrize("t", [0, -1])
+def test_non_positive_power_is_a_usage_error(t):
+    with pytest.raises(ValueError, match="t >= 1"):
+        hamming_power(kneser(2), t)
+
+
 # --- products ---------------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ from hatlab.graphs import hamming_power, kneser, max_independent_set
 from hatlab.solver import (
     PartitionView,
     _Argmax,
+    _descend,
     _scan_last_player,
     best_response_value,
     dominance_chain,
@@ -189,6 +190,21 @@ def test_unsupported_sizes_suggest_search():
         exact_p(4, 2, "dictator")
 
 
+@pytest.mark.parametrize("t", [0, -1])
+def test_non_positive_player_count_is_a_usage_error(t):
+    with pytest.raises(ValueError, match="t >= 1"):
+        exact_p(t, 2, "dictator")
+    with pytest.raises(ValueError, match="t >= 1"):
+        local_search_p(t, 2, "dictator")
+    with pytest.raises(ValueError, match="n >= 1"):
+        exact_p(2, t, "dictator")
+
+
+def test_local_search_one_player_is_out_of_budget():
+    with pytest.raises(UnsupportedSizeError, match="t >= 2"):
+        local_search_p(1, 3, "dictator")
+
+
 def test_threads_do_not_change_exact_results():
     a = exact_p(2, 3, "dictator", threads=1)
     b = exact_p(2, 3, "dictator", threads=4)
@@ -229,13 +245,44 @@ def kernel_cases(draw):
     return r, entries, members, wins
 
 
+@st.composite
+def tied_kernel_cases(draw):
+    """Kernel cases where many tables tie: the full mask answers every union, so a
+    point scores |u[x]|, and members drawn from a small pool share their sets."""
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(2, 4))
+    entries = draw(st.integers(1, max(e for e in range(1, 13) if r**e <= 4096)))
+    pool = draw(st.lists(st.integers(0, (1 << (1 << n)) - 1), min_size=1, max_size=2))
+    sets = draw(st.lists(st.sampled_from(pool), min_size=r, max_size=r))
+    others = draw(st.lists(st.integers(0, (1 << entries) - 1), max_size=3))
+    wins = [*others, (1 << entries) - 1]
+    members = [tuple(i for i, w in enumerate(sets) if w >> x & 1) for x in range(1 << n)]
+    return r, entries, members, wins
+
+
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(kernel_cases())
+@given(st.one_of(kernel_cases(), tied_kernel_cases()))
 def test_scan_last_player_matches_plain_scan(case):
     r, entries, members, wins = case
     assert _scan_last_player(r, entries, members, _Argmax(wins)) == plain_scan(
         r, entries, members, wins
     )
+
+
+# Walked nodes (_descend calls) with both bounds; the union bound alone would
+# walk 15390 and 34750.
+@pytest.mark.parametrize("t,n,kind,nodes", [(2, 3, "intersecting", 566), (3, 2, "dictator", 9051)])
+def test_last_player_walk_node_count(t, n, kind, nodes, monkeypatch):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _descend(*args)
+
+    monkeypatch.setattr("hatlab.solver._descend", counted)
+    exact_p(t, n, kind, allow_slow=True)
+    assert calls <= nodes
 
 
 def test_exact_p_holds_no_memory_after_return():
