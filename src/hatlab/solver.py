@@ -111,65 +111,49 @@ def _scan_last_player(
     """The first last-player table, in product order, with the best best-response total.
 
     A depth-first walk over the table's entries keeps one union u[x] per point
-    (the entries whose member contains x) and cuts a subtree on either of two
-    upper bounds of its totals: every unassigned entry added to each u[x], or
-    the budget bound of `_descend`. Cuts are strict, so the first optimum in
-    product order survives. Returns (total, table).
+    (the entries whose member contains x) and cuts a subtree on the budget
+    bound of `_descend`. Cuts are strict, so the first optimum in product
+    order survives. Returns (total, table).
     """
     holders = [[x for x, mem in enumerate(members) if i in mem] for i in range(r)]
     # a mask inside another never scores more, so the walk scores maximal masks only
     masks = best.masks
     best = _Argmax([w for w in masks if not any(w != v and w | v == v for v in masks)])
-    terms = [best[(1 << entries) - 1][0]] * len(members)
     hmax = max(map(len, holders))
     state = [-1, None]
-    _descend(0, [0] * len(members), terms, 0, [0] * entries, holders, hmax, best, state)
+    _descend(0, [0] * len(members), 0, [0] * entries, holders, hmax, best, state)
     return state[0], state[1]
 
 
 def _descend(
-    e: int, u: list[int], terms: list[int], total: int,
-    table: list[int], holders: list[list[int]], hmax: int, best: _Argmax, state: list,
+    e: int, u: list[int], total: int, table: list[int],
+    holders: list[list[int]], hmax: int, best: _Argmax, state: list,
 ) -> None:
     """Try each member at entry e of `table`; state is [incumbent, its table].
 
     `total` is the score of entries 0..e-1: the sum over points of
     f(u[x]) = max_w |w & u[x]|. f is monotone and rises by at most 1 when u[x]
-    gains one entry. Setting entry e
-    to member i raises only the points of holders[i], by up[x], and each later
-    entry raises at most hmax points, so a child scores at most its own total
-    plus hmax per entry after e (the budget bound). terms[x] is point x's bound
-    with entries e.. unassigned; once entry e is set, x keeps terms[x] if the
-    member holds x and drops to lo[x] otherwise (the union bound). A child is
-    cut when either bound is <= the incumbent; at the last entry both equal
-    its exact total.
+    gains one entry. Setting entry e to member i raises only the points of
+    holders[i], by up[x], and each later entry raises at most hmax points, so
+    a child scores at most its own total plus hmax per entry after e (the
+    budget bound). A child is cut when that bound is <= the incumbent; at the
+    last entry the bound is its exact total.
     """
     bit = 1 << e
     budget = (len(table) - e - 1) * hmax
     last = e + 1 == len(table)
     up = [best[v | bit][0] - best[v][0] for v in u]
-    lo = None
     for i, xs in enumerate(holders):
         child_total = total + sum(map(up.__getitem__, xs))
         if child_total + budget <= state[0]:
             continue
         table[e] = i
         if last:
-            # nothing is unassigned, so the bound is this table's exact total
             state[0], state[1] = child_total, tuple(table)
             continue
-        if lo is None:
-            rest = ((1 << len(table)) - 1) ^ ((bit << 1) - 1)
-            lo = [best[v | rest][0] for v in u]
-            gain = [hi - low for hi, low in zip(terms, lo)]
-            base = sum(lo)
-        if base + sum(map(gain.__getitem__, xs)) <= state[0]:
-            continue
-        child = lo.copy()
         for x in xs:
             u[x] |= bit
-            child[x] = terms[x]
-        _descend(e + 1, u, child, child_total, table, holders, hmax, best, state)
+        _descend(e + 1, u, child_total, table, holders, hmax, best, state)
         for x in xs:
             u[x] ^= bit
 
