@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--allow-slow", action="store_true",
-                   help="enable slow exact solves: t=3, and t=2 over the table budget")
+                   help="enable slow exact solves: t=3, and t=2 over the table budget "
+                        "up to 4^16 tables (the n=4 dictator kind)")
     p.add_argument("--witness", action="store_true",
                    help="include the optimal strategy tables in the result")
 

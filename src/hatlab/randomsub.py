@@ -164,12 +164,13 @@ def alpha_star_star_mc(
     _check_vertices(g)
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
+    v = g.vcount
     s1 = s2 = 0
     for i in range(samples):
-        a = mis_size_in_subset(g, sample_binomial_subset(g.vcount, seed, i).bits)
+        # the draw of sample_binomial_subset(v, seed, i), without its wrapper
+        a = mis_size_in_subset(g, stream_rng(seed, i).getrandbits(v))
         s1 += a
         s2 += a * a
-    v = g.vcount
     mean = s1 / (samples * v)
     var = (s2 / (v * v) - samples * mean * mean) / (samples - 1)
     stderr = math.sqrt(max(var, 0.0) / samples)

@@ -27,6 +27,9 @@ from .game import (
 )
 
 MAX_LAST_PLAYER_TABLES = 70_000
+# allow_slow budget: the 4^16 tables of the t=2, n=4 dictator kind walk in
+# about a minute; the intersecting kind's 12^16 ran 300 s without finishing
+MAX_SLOW_LAST_PLAYER_TABLES = 4**16
 MAX_TABLE_INPUT_BITS = 16
 MAX_EVAL_BITS = 20
 
@@ -243,8 +246,10 @@ def exact_p(
     Supported budgets: t=1 (any enumerable family); n=1 (any t up to 20);
     t=2 and t=3 through one bounded last-player walk over r^(2^(n(t-1)))
     tables. Up to 70000 tables it runs freely (t=2, n <= 3 for the three
-    standard kinds); t=3 (n=2) and larger t=2 spaces (n <= 4) run behind
-    allow_slow. `threads` is accepted for compatibility and has no effect.
+    standard kinds); t=3 (n=2) and t=2 spaces of up to 4^16 tables (the n=4
+    dictator kind) run behind allow_slow. Larger t=2 spaces, such as the
+    n=4 intersecting and monotone kinds, raise UnsupportedSizeError.
+    `threads` is accepted for compatibility and has no effect.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got t={t}")
@@ -261,12 +266,21 @@ def exact_p(
                 "t=3 exact solving is gated behind allow_slow=True"
             )
         n_tables = family.r ** (1 << (n * (t - 1)))
-        if n_tables <= MAX_LAST_PLAYER_TABLES or (t == 2 and allow_slow and n <= 4):
+        if n_tables <= MAX_LAST_PLAYER_TABLES or (
+            allow_slow and n_tables <= MAX_SLOW_LAST_PLAYER_TABLES
+        ):
             return _exact_last_player(family, t)
+        if n_tables > MAX_SLOW_LAST_PLAYER_TABLES:
+            raise UnsupportedSizeError(
+                f"t={t} exact solving enumerates {n_tables} tables for (n={n}, {kind}), "
+                f"over the allow_slow budget of {MAX_SLOW_LAST_PLAYER_TABLES}; no exact "
+                "engine reaches it yet (an MIS bound on the Kneser power is the planned "
+                "route); use local_search_p"
+            )
         raise UnsupportedSizeError(
             f"t={t} exact solving enumerates {n_tables} tables for (n={n}, {kind}), "
             f"over the {MAX_LAST_PLAYER_TABLES} budget; pass allow_slow=True "
-            f"(t=2, n <= 4) or use local_search_p"
+            f"(up to {MAX_SLOW_LAST_PLAYER_TABLES} tables) or use local_search_p"
         )
     raise UnsupportedSizeError(
         f"exact_p has no engine for (t={t}, n={n}, {kind}); use local_search_p"

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -448,3 +449,12 @@ def test_construction_stall_exits_4():
     doc = json.loads(res.stdout)
     assert doc["result"]["stalled"] is True
     assert doc["result"]["certified"] is True  # partial family still certifies
+
+
+def test_allow_slow_over_its_table_budget_exits_3_at_once():
+    # before the table-count gate this walk ran for minutes with no output
+    start = time.perf_counter()
+    res = run_cli("solve", "--t", "2", "--n", "4", "--family", "intersecting", "--allow-slow")
+    assert res.returncode == 3, res.stderr
+    assert time.perf_counter() - start < 10
+    assert "allow_slow budget" in res.stderr and res.stdout == ""

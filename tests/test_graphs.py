@@ -9,7 +9,9 @@ from itertools import combinations
 
 import pytest
 
+from hatlab import graphs as graphs_module
 from hatlab.errors import UnsupportedSizeError
+from hatlab.game import stream_rng
 from hatlab.graphs import (
     MAX_PRODUCT_VERTICES,
     Graph,
@@ -368,6 +370,39 @@ def test_mis_search_tree_pinned(spec, size, nodes, digest):
     res = max_independent_set(_pinned_graph(spec))
     assert (res.size, res.nodes_explored) == (size, nodes)
     assert hashlib.sha256(hex(res.set_bits).encode()).hexdigest() == digest
+
+
+# (sum of sizes, nodes of the size-only search) over the subsets
+# stream_rng(5, i).getrandbits(vcount), i < 50, as alpha** Monte Carlo draws them
+PINNED_SIZE_SEARCH_TREES = [
+    ("shift:4", 167, 89),
+    ("shift:6", 350, 361),
+    ("shift:8", 579, 1256),
+    ("shift:10", 894, 3262),
+    ("kneser:3^2", 739, 74),
+    ("kneser:4xkneser:3", 1463, 205),
+    ("kneser:4^2", 2993, 1027),
+    ("gnp:80:0.1:1", 948, 432),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,total,nodes", PINNED_SIZE_SEARCH_TREES, ids=[r[0] for r in PINNED_SIZE_SEARCH_TREES]
+)
+def test_mis_size_tree_pinned(spec, total, nodes, monkeypatch):
+    # the sizes alone cannot see a weaker prune or a redundant child pool
+    calls = 0
+    real = graphs_module._mis_size_node
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(graphs_module, "_mis_size_node", counted)
+    g = _pinned_graph(spec)
+    got = sum(mis_size_in_subset(g, stream_rng(5, i).getrandbits(g.vcount)) for i in range(50))
+    assert (got, calls) == (total, nodes)
 
 
 def _all_looped(m: int) -> Graph:

@@ -5,11 +5,15 @@ valid object, never anything else."""
 from __future__ import annotations
 
 import json
+import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hatlab import graphs as graphs_module
 from hatlab.blockers import (
     Blocker,
     BlockerFamily,
@@ -22,14 +26,20 @@ from hatlab.blockers import (
 from hatlab.game import enumerate_family, tuple_from_index, tuple_index, winning_set
 from hatlab.graphs import (
     Graph,
+    _mis_search,
+    _mis_size,
     graph_from_bytes,
     graph_from_text,
     graph_to_bytes,
     graph_to_text,
+    hamming_power,
+    hamming_product,
+    kneser,
     max_independent_set,
     mis_size_all_subsets,
     mis_size_in_subset,
     random_graph,
+    shift_graph,
 )
 
 from blocker_reference import brute_force_is_blocker
@@ -163,6 +173,46 @@ def test_subset_dp_at_the_lane_boundary(g, data):
     for w in data.draw(st.lists(st.integers(0, (1 << g.vcount) - 1), min_size=4, max_size=4)):
         assert table[w] == mis_size_in_subset(g, w)
     assert table[-1] == mis_size_in_subset(g, (1 << g.vcount) - 1)
+
+
+# graphs whose random subsets make the size-only search branch both ways
+BRANCHING_GRAPHS = [
+    *(shift_graph(m) for m in range(5, 9)),
+    hamming_power(kneser(3), 2),
+    hamming_product(kneser(4), kneser(3)),
+]
+
+
+def test_mis_size_matches_mis_search_and_branches_both_ways():
+    # The subset-DP test above mostly closes at the root; these subsets reach
+    # both branch rules. A binary node's two children differ in size by one,
+    # a multiway node's one or two children all include a vertex.
+    rules = Counter()
+    siblings = [[]]
+    real = graphs_module._mis_size_node
+
+    def counting(adj, p, size, best):
+        siblings[-1].append(size)
+        siblings.append([])
+        try:
+            return real(adj, p, size, best)
+        finally:
+            kids = siblings.pop()
+            if kids:
+                rules["binary" if len(set(kids)) == 2 else "multiway"] += 1
+
+    @settings(bounded, max_examples=100)
+    @given(st.sampled_from(BRANCHING_GRAPHS) | graphs(min_vertices=1, max_vertices=40),
+           st.integers(0, 1 << 32))
+    def check(g, seed):
+        rng = random.Random(seed)
+        with mock.patch.object(graphs_module, "_mis_size_node", counting):
+            for _ in range(10):
+                pool = rng.getrandbits(g.vcount) & g.eligible
+                assert _mis_size(g.adj, pool) == _mis_search(g.adj, pool)[0]
+
+    check()
+    assert rules["binary"] > 0 and rules["multiway"] > 0, rules
 
 
 # --- certification oracle against the brute force ---------------------------

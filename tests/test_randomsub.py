@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 
 from hatlab.errors import UnsupportedSizeError
-from hatlab.game import enumerate_family
+from hatlab.game import enumerate_family, stream_rng
 from hatlab.graphs import (
     complete_graph,
     edgeless_graph,
+    hamming_power,
     kneser,
     mis_size_in_subset,
     random_graph,
@@ -24,6 +25,7 @@ from hatlab.randomsub import (
     epsilon_gap,
     induced_subset_distribution,
     sample_Rv,
+    sample_binomial_subset,
     sample_induced_subset,
 )
 from hatlab.graphs import max_independent_set
@@ -165,6 +167,15 @@ def test_monotone_under_edge_addition():
 # --- alpha** Monte Carlo ----------------------------------------------------
 
 
+def test_binomial_sampler_gives_the_mc_draws():
+    # alpha_star_star_mc draws sample i straight from the stream, not through
+    # the public sampler; both must give the same subsets
+    for v in (1, 16, 64, 100):
+        for i in range(20):
+            sample = sample_binomial_subset(v, 7, i)
+            assert (sample.bits, sample.origin) == (stream_rng(7, i).getrandbits(v), "binomial")
+
+
 def test_mc_matches_exact_within_four_stderr():
     for g in (complete_graph(4), edgeless_graph(8), shift_graph(4)):
         est = alpha_star_star_mc(g, samples=10_000, seed=3)
@@ -182,6 +193,24 @@ def test_mc_deterministic_across_threads():
 def test_mc_edgeless_exact_half():
     est = alpha_star_star_mc(edgeless_graph(8), samples=10_000, seed=2)
     assert abs(est.mean - 0.5) <= 4 * est.stderr
+
+
+# (mean, stderr) reprs at seed 11, recorded before alpha_star_star_mc moved to
+# the size-only MIS search; each sample's draw and size must be unchanged
+PINNED_MC = [
+    (lambda: shift_graph(8), 2000, "0.184171875", "0.0004560095071130376"),
+    (lambda: hamming_power(kneser(3), 2), 4000, "0.23473046875", "0.0004538703599295031"),
+    (lambda: shift_graph(4), 10000, "0.2164875", "0.0003674894409692917"),
+    (lambda: hamming_power(kneser(4), 2), 200, "0.2318359375", "0.0009769550090592573"),
+]
+
+
+@pytest.mark.parametrize(
+    "make,samples,mean,stderr", PINNED_MC, ids=["shift8", "kneser3^2", "shift4", "kneser4^2"]
+)
+def test_mc_estimates_pinned(make, samples, mean, stderr):
+    est = alpha_star_star_mc(make(), samples=samples, seed=11)
+    assert (repr(est.mean), repr(est.stderr)) == (mean, stderr)
 
 
 # --- gaps -------------------------------------------------------------------

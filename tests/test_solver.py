@@ -442,3 +442,23 @@ def test_exact_p_above_table_budget_needs_allow_slow(kind, monkeypatch):
         exact_p(2, 3, kind)
     row = next(row for row in PINNED_WITNESSES if row[0] == ("exact_p", 2, 3, kind))
     test_pinned_witnesses(*row)
+
+
+@pytest.mark.parametrize("kind,r", [("intersecting", 12), ("monotone", 24)])
+def test_allow_slow_refuses_walks_over_its_table_budget(kind, r):
+    # the n=4 intersecting walk passed 7 million nodes in 300 s without finishing
+    with pytest.raises(UnsupportedSizeError, match=f"{r ** 16} tables") as exc:
+        exact_p(2, 4, kind, allow_slow=True)
+    assert "MIS" in str(exc.value)
+
+
+def test_allow_slow_still_routes_the_n4_dictator_walk(monkeypatch):
+    # 4^16 tables, the top of the allow_slow budget; the walk itself takes ~1 min
+    routed = []
+    monkeypatch.setattr(
+        "hatlab.solver._exact_last_player", lambda family, t: routed.append((family.r, t))
+    )
+    exact_p(2, 4, "dictator", allow_slow=True)
+    assert routed == [(4, 2)]
+    with pytest.raises(UnsupportedSizeError, match="allow_slow=True"):
+        exact_p(2, 4, "dictator")
