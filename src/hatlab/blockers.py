@@ -330,11 +330,17 @@ def construct_blockers(
 
     A stalled run (more than `stall_limit` consecutive collisions) returns
     the partial family with `stalled` set instead of raising. A negative
-    `stall_limit` is a ValueError.
+    `stall_limit` is a ValueError; n outside [4, MAX_DICTATOR_N] raises
+    UnsupportedSizeError before any work.
     """
     if n < PARTS:
         raise UnsupportedSizeError(
             f"need n >= {PARTS} so the partition can have nonempty parts, got {n}"
+        )
+    # the limit family_from_json enforces; the coverage bitmask has 2^n bits
+    if n > MAX_DICTATOR_N:
+        raise UnsupportedSizeError(
+            f"blocker construction supports n <= {MAX_DICTATOR_N}, got {n}"
         )
     # compared before Fraction(), which raises OverflowError on an infinite float
     if not 0 <= delta < 1:

@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import MalformedStrategyError, UnsupportedSizeError
+from .graphs import inclusion_maximal_independent_sets, kneser
 
 FAMILY_KINDS = ("dictator", "intersecting", "monotone")
 
@@ -99,35 +100,6 @@ def _dictator_sets(n: int) -> list[int]:
     return sets
 
 
-def _maximal_intersecting_sets(n: int) -> list[int]:
-    # Maximal independent sets of the disjointness graph on {0,1}^n, with the
-    # all-zero vertex excluded (it is disjoint from everything, itself
-    # included, so it can never be a member).
-    size = 1 << n
-    disj = [0] * size
-    for x in range(size):
-        for y in range(size):
-            if x != y and x & y == 0:
-                disj[x] |= 1 << y
-    out = []
-    nonzero = range(1, size)
-    for bits in range(1 << (size - 1)):
-        s = bits << 1  # subset of nonzero points
-        ok = True
-        for v in nonzero:
-            if s >> v & 1:
-                if disj[v] & s:
-                    ok = False
-                    break
-            else:
-                if disj[v] & s == 0:
-                    ok = False  # v could be added: not maximal
-                    break
-        if ok:
-            out.append(s)
-    return out
-
-
 def _balanced_monotone_sets(n: int) -> list[int]:
     size = 1 << n
     half = size // 2
@@ -155,7 +127,10 @@ def _balanced_monotone_sets(n: int) -> list[int]:
 def enumerate_family(kind: str, n: int) -> WinningFamily:
     """All winning sets of one kind, deterministically ordered.
 
-    dictator: n up to 16. intersecting / monotone: n up to 4, by exhaustive
+    dictator: n up to 16. intersecting / monotone: n up to 4. The maximal
+    intersecting families are the inclusion-maximal independent sets of the
+    disjointness graph `kneser(n)`, whose self-looped all-zero point is in
+    none of them; the balanced monotone sets are found by exhaustive
     enumeration.
     """
     if kind not in FAMILY_KINDS:
@@ -174,7 +149,7 @@ def enumerate_family(kind: str, n: int) -> WinningFamily:
             f"n <= {MAX_ENUMERATED_N}, got n={n}"
         )
     elif kind == "intersecting":
-        sets = _maximal_intersecting_sets(n)
+        sets = inclusion_maximal_independent_sets(kneser(n))
     else:
         sets = _balanced_monotone_sets(n)
     return WinningFamily(kind=kind, n=n, sets=tuple(sorted(sets)))

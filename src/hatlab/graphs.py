@@ -197,25 +197,27 @@ class MisResult:
         return tuple(out)
 
 
-def _clique_cover_bound(adj: tuple[int, ...], pool: int, cap: int) -> int:
-    """Greedy partition of the pool into cliques; an IS takes at most one each.
+def _cover_rest(adj: tuple[int, ...], pool: int, k: int) -> int:
+    """The vertices of pool outside the first k cliques of its greedy cover.
 
-    Returns the number of cliques if it is at most `cap`, and otherwise some
-    number above `cap`: counting stops as soon as it passes `cap`, because
-    past that point the caller cannot prune.
+    The cover partitions the pool into cliques, each grown from its lowest
+    remaining vertex through its lowest remaining common neighbours. An
+    independent set takes at most one vertex per clique, so an empty rest
+    proves that the pool holds no independent set of more than k vertices,
+    and any set of more than k vertices uses a vertex of the rest. k <= 0
+    returns the pool.
     """
-    cnt = 0
-    rem = pool
-    while rem and cnt <= cap:
-        low = rem & -rem
-        cand = rem & adj[low.bit_length() - 1]
-        rem ^= low
+    rest = pool
+    while rest and k > 0:
+        low = rest & -rest
+        cand = rest & adj[low.bit_length() - 1]
+        rest ^= low
         while cand:
             u = cand & -cand
-            rem ^= u
+            rest ^= u
             cand &= adj[u.bit_length() - 1]
-        cnt += 1
-    return cnt
+        k -= 1
+    return rest
 
 
 def _greedy_lower(adj: tuple[int, ...], pool: int) -> tuple[int, int]:
@@ -237,15 +239,48 @@ def _greedy_lower(adj: tuple[int, ...], pool: int) -> tuple[int, int]:
     return chosen.bit_count(), chosen
 
 
+def _peel(adj: tuple[int, ...], p: int) -> tuple[int, int, int, int]:
+    """Take every vertex of degree 0 or 1 in p: (p left, taken, branch, branch_adj).
+
+    Taking such a vertex is always safe. The scan is ascending and repeats
+    until a pass takes nothing; that pass has every degree at hand, so it
+    also picks the branch vertex (a one-bit mask, maximum degree in p, lowest
+    index on ties) and its adjacency row. Both are meaningless when no
+    vertex is left.
+    """
+    taken = 0
+    branch = branch_adj = 0
+    while True:
+        peeled = False
+        branch_deg = -1
+        m = p
+        while m:
+            low = m & -m
+            a = adj[low.bit_length() - 1]
+            d = a & p
+            if d & (d - 1) == 0:
+                # degree 0 or 1: take the vertex, drop it and its neighbour
+                p ^= d | low
+                m &= p
+                taken |= low
+                peeled = True
+            else:
+                m ^= low
+                if not peeled:
+                    c = d.bit_count()
+                    if c > branch_deg:
+                        branch_deg, branch, branch_adj = c, low, a
+        if not peeled:
+            return p, taken, branch, branch_adj
+
+
 def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
     """Exact max independent set within pool: (size, set_bits, nodes).
 
-    Each node peels every vertex of degree 0 or 1 in the pool (always safe to
-    take), scanning in ascending order and rescanning until a pass peels
-    nothing. That last pass has every degree at hand, so it also picks the
-    branch vertex: maximum degree, lowest index on ties. A node is pruned when
-    the greedy clique cover of its pool, capped at the room left under the
-    incumbent, leaves no room to beat it.
+    Each node runs `_peel` and branches on the vertex it picks: include it,
+    then exclude it. A node is pruned when the greedy clique cover leaves no
+    vertex after as many cliques as there is room under the incumbent
+    (`_cover_rest`).
     """
     best_size, best_set = _greedy_lower(adj, pool)
     nodes = 0
@@ -253,35 +288,14 @@ def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
     def rec(p: int, size: int, chosen: int) -> None:
         nonlocal best_size, best_set, nodes
         nodes += 1
-        while True:
-            peeled = False
-            branch_deg = -1
-            m = p
-            while m:
-                low = m & -m
-                a = adj[low.bit_length() - 1]
-                d = a & p
-                if d & (d - 1) == 0:
-                    # degree 0 or 1: take the vertex, drop it and its neighbour
-                    p ^= d | low
-                    m &= p
-                    chosen |= low
-                    size += 1
-                    peeled = True
-                else:
-                    m ^= low
-                    if not peeled:
-                        c = d.bit_count()
-                        if c > branch_deg:
-                            branch_deg, branch, branch_adj = c, low, a
-            if not peeled:
-                break
+        p, taken, branch, branch_adj = _peel(adj, p)
+        chosen |= taken
+        size += taken.bit_count()
         if p == 0:
             if size > best_size:
                 best_size, best_set = size, chosen
             return
-        room = best_size - size
-        if _clique_cover_bound(adj, p, room) <= room:
+        if not _cover_rest(adj, p, best_size - size):
             return
         rec(p & ~(branch_adj | branch), size + 1, chosen | branch)
         rec(p ^ branch, size, chosen)
@@ -321,12 +335,13 @@ def max_independent_set(g: Graph) -> MisResult:
 
 
 def _mis_size(adj: tuple[int, ...], pool: int) -> int:
-    """Size of a maximum independent set within pool, by its own search.
+    """Size of a maximum independent set within pool.
 
     `_mis_search` keeps its tree because `max_independent_set` returns its set
     and node count, which `hatlab alpha` prints and tests pin. This search
     returns only the size, so it is free to branch differently: it walks
-    fewer nodes on the shallow subset searches of alpha** Monte Carlo.
+    fewer nodes on the shallow subset searches of alpha** Monte Carlo. Both
+    use the same `_peel` and `_cover_rest`.
     """
     return _mis_size_node(adj, pool, 0, _greedy_lower(adj, pool)[0])
 
@@ -334,49 +349,19 @@ def _mis_size(adj: tuple[int, ...], pool: int) -> int:
 def _mis_size_node(adj: tuple[int, ...], p: int, size: int, best: int) -> int:
     """One node of `_mis_size`: the best size found so far, this subtree included.
 
-    It peels and picks the binary branch vertex as `_mis_search` does. The
-    greedy clique cover (the rule of `_clique_cover_bound`) then takes
+    It runs `_peel` as `_mis_search` does. The greedy clique cover then takes
     `best - size` cliques; an improving set needs a vertex of what they leave
-    over, B. Empty B prunes. When B has at most two vertices, the node
-    branches once per vertex of B, each child dropping the vertices branched
-    on before it: the child that excludes all of B could not improve, so
-    this never makes more children than a binary branch. A larger B gets the
-    binary include/exclude branch on the maximum-degree vertex.
+    over, B (`_cover_rest`). Empty B prunes. When B has at most two vertices,
+    the node branches once per vertex of B, each child dropping the vertices
+    branched on before it: the child that excludes all of B could not
+    improve, so this never makes more children than a binary branch. A
+    larger B gets the binary include/exclude branch on `_peel`'s vertex.
     """
-    while True:
-        peeled = False
-        branch_deg = -1
-        m = p
-        while m:
-            low = m & -m
-            a = adj[low.bit_length() - 1]
-            d = a & p
-            if d & (d - 1) == 0:
-                p ^= d | low
-                m &= p
-                size += 1
-                peeled = True
-            else:
-                m ^= low
-                if not peeled:
-                    c = d.bit_count()
-                    if c > branch_deg:
-                        branch_deg, branch, branch_adj = c, low, a
-        if not peeled:
-            break
+    p, taken, branch, branch_adj = _peel(adj, p)
+    size += taken.bit_count()
     if p == 0:
         return size if size > best else best
-    rest = p
-    room = best - size
-    while rest and room > 0:
-        low = rest & -rest
-        cand = rest & adj[low.bit_length() - 1]
-        rest ^= low
-        while cand:
-            u = cand & -cand
-            rest ^= u
-            cand &= adj[u.bit_length() - 1]
-        room -= 1
+    rest = _cover_rest(adj, p, best - size)
     if not rest:
         return best
     if rest.bit_count() <= 2:
@@ -496,8 +481,7 @@ def maximum_independent_sets(g: Graph, limit: int = 200_000) -> list[int]:
                 )
             return
         # prune when the cover shows the set cannot still reach alpha
-        room = alpha - size - 1
-        if _clique_cover_bound(adj, p, room) <= room:
+        if not _cover_rest(adj, p, alpha - size - 1):
             return
         v = (p & -p).bit_length() - 1
         rec(p & ~adj[v] & ~(1 << v), size + 1, chosen | (1 << v))

@@ -263,7 +263,8 @@ def exact_p(
     if t == 2 or (t == 3 and n == 2):
         if t == 3 and not allow_slow:
             raise UnsupportedSizeError(
-                "t=3 exact solving is gated behind allow_slow=True"
+                "t=3 exact solving is gated behind allow_slow=True "
+                "(the CLI flag --allow-slow)"
             )
         n_tables = family.r ** (1 << (n * (t - 1)))
         if n_tables <= MAX_LAST_PLAYER_TABLES or (
@@ -280,7 +281,8 @@ def exact_p(
         raise UnsupportedSizeError(
             f"t={t} exact solving enumerates {n_tables} tables for (n={n}, {kind}), "
             f"over the {MAX_LAST_PLAYER_TABLES} budget; pass allow_slow=True "
-            f"(up to {MAX_SLOW_LAST_PLAYER_TABLES} tables) or use local_search_p"
+            f"(the CLI flag --allow-slow; up to {MAX_SLOW_LAST_PLAYER_TABLES} tables) "
+            "or use local_search_p"
         )
     raise UnsupportedSizeError(
         f"exact_p has no engine for (t={t}, n={n}, {kind}); use local_search_p"

@@ -26,7 +26,7 @@ from hatlab.blockers import (
     verify_blocker,
 )
 from hatlab.errors import UnsupportedSizeError
-from hatlab.game import enumerate_family, winning_set
+from hatlab.game import MAX_DICTATOR_N, enumerate_family, winning_set
 from hatlab.graphs import complete_graph, shift_graph
 from hatlab.solver import exact_p
 
@@ -345,6 +345,13 @@ def test_base_blockers_reject_non_positive_n(n):
 def test_construct_rejects_tiny_n():
     with pytest.raises(UnsupportedSizeError):
         construct_blockers(3, seed=0)
+
+
+@pytest.mark.parametrize("n", [MAX_DICTATOR_N + 1, 40])
+def test_construct_rejects_n_over_the_dictator_limit(n):
+    # n=40 used to run out of memory on its 2^40-bit coverage mask
+    with pytest.raises(UnsupportedSizeError, match=f"n <= {MAX_DICTATOR_N}"):
+        construct_blockers(n, seed=1)
 
 
 @pytest.mark.parametrize("delta", [float("inf"), float("-inf"), float("nan")])

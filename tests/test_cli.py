@@ -458,3 +458,26 @@ def test_allow_slow_over_its_table_budget_exits_3_at_once():
     assert res.returncode == 3, res.stderr
     assert time.perf_counter() - start < 10
     assert "allow_slow budget" in res.stderr and res.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("solve", "--t", "2", "--n", "4", "--family", "dict"), ("solve", "--t", "3", "--n", "2")],
+    ids=["t2-n4-dict", "t3-n2"],
+)
+def test_allow_slow_errors_name_the_cli_flag(args):
+    res = run_cli(*args)
+    assert res.returncode == 3, res.stderr
+    assert res.stdout == ""
+    assert "--allow-slow" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("n", ["17", "40"])
+def test_blocker_build_over_the_dictator_limit_exits_3_at_once(n):
+    # n=40 used to die with a MemoryError traceback and exit 1
+    start = time.perf_counter()
+    res = run_cli("blocker", "build", "--n", n, "--seed", "1")
+    assert res.returncode == 3, res.stderr
+    assert time.perf_counter() - start < 10
+    assert res.stdout == ""
+    assert "n <= 16" in res.stderr and "Traceback" not in res.stderr

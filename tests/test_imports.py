@@ -1,0 +1,42 @@
+"""Import hygiene: every module imports first without a cycle, and the package
+uses nothing outside the standard library."""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hatlab"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    # a cycle such as game -> graphs -> game fails only when the module that
+    # closes it is the first one imported
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(PACKAGE.parent) + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run(
+        [sys.executable, "-c", f"import hatlab.{module}"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library(path):
+    allowed = set(sys.stdlib_module_names) | {"hatlab"}
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            assert name.partition(".")[0] in allowed, f"{path.name} imports {name}"

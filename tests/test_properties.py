@@ -26,6 +26,7 @@ from hatlab.blockers import (
 from hatlab.game import enumerate_family, tuple_from_index, tuple_index, winning_set
 from hatlab.graphs import (
     Graph,
+    _cover_rest,
     _mis_search,
     _mis_size,
     graph_from_bytes,
@@ -173,6 +174,23 @@ def test_subset_dp_at_the_lane_boundary(g, data):
     for w in data.draw(st.lists(st.integers(0, (1 << g.vcount) - 1), min_size=4, max_size=4)):
         assert table[w] == mis_size_in_subset(g, w)
     assert table[-1] == mis_size_in_subset(g, (1 << g.vcount) - 1)
+
+
+@bounded
+@given(graphs(min_vertices=0, max_vertices=12), st.integers(0, 13), st.data())
+def test_cover_rest_is_a_sound_clique_cover_bound(g, k, data):
+    # checked against the subset DP, which shares no code with the cover
+    pool = data.draw(st.integers(0, (1 << g.vcount) - 1)) & g.eligible
+    alpha = mis_size_all_subsets(g)[pool]
+    assert _cover_rest(g.adj, pool, 0) == _cover_rest(g.adj, pool, -1) == pool
+    rest = _cover_rest(g.adj, pool, k)
+    assert rest & ~pool == 0
+    if not rest:
+        assert alpha <= k
+    # one more clique takes at least one vertex of a non-empty rest
+    more = _cover_rest(g.adj, pool, k + 1)
+    assert more & ~rest == 0
+    assert more != rest or not rest
 
 
 # graphs whose random subsets make the size-only search branch both ways
