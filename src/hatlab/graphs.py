@@ -19,6 +19,7 @@ MAX_KNESER_N = 13
 MAX_PRODUCT_VERTICES = 1 << 20
 MAX_MIS_VERTICES = 4096
 MAX_SHIFT_M = 64
+MAX_GENERATED_VERTICES = 4096  # complete, edgeless and G(n, p) graphs
 
 
 @dataclass(frozen=True)
@@ -147,20 +148,25 @@ def shift_graph(m: int) -> Graph:
     return Graph(vcount, tuple(adj), (False,) * vcount, f"shift({m})")
 
 
-def _check_count(m: int) -> None:
+def _check_count(m: int, builder: str) -> None:
+    # checked before any row is allocated: complete(10^6) would ask for 125 GB
     if m < 0:
         raise ValueError(f"need a vertex count >= 0, got {m}")
+    if m > MAX_GENERATED_VERTICES:
+        raise UnsupportedSizeError(
+            f"{builder} supports n <= {MAX_GENERATED_VERTICES}, got {m}"
+        )
 
 
 def complete_graph(m: int) -> Graph:
-    _check_count(m)
+    _check_count(m, "complete_graph")
     full = (1 << m) - 1
     adj = tuple(full ^ (1 << v) for v in range(m))
     return Graph(m, adj, (False,) * m, f"complete({m})")
 
 
 def edgeless_graph(m: int) -> Graph:
-    _check_count(m)
+    _check_count(m, "edgeless_graph")
     return Graph(m, (0,) * m, (False,) * m, f"edgeless({m})")
 
 
@@ -168,9 +174,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with edges drawn pair-by-pair from random.Random(seed)."""
     if not 0 <= p <= 1:
         raise ValueError(f"need 0 <= p <= 1, got {p}")
-    _check_count(n)
-    if n > 4096:
-        raise UnsupportedSizeError(f"random_graph supports n <= 4096, got {n}")
+    _check_count(n, "random_graph")
     rng = random.Random(seed)
     adj = _empty_adj(n)
     for i in range(n):

@@ -9,9 +9,11 @@ lower bound.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import and_
 
 from .errors import MalformedPartitionError, UnsupportedSizeError
 from .game import (
@@ -289,6 +291,85 @@ def exact_p(
     )
 
 
+class _Points(dict):
+    """Memoised bit positions of a mask: points[w] lists the points of w."""
+
+    def __missing__(self, w: int) -> list[int]:
+        hit = self[w] = [y for y in range(w.bit_length()) if w >> y & 1]
+        return hit
+
+
+def _links(t: int, n: int) -> list[list[tuple[tuple[int, int, int, int], ...]]]:
+    """links[i][vis]: for each other player k, (k, k's visible index with x_i = 0,
+    the shift of x_i inside it, the bit of x_k). That is where entry (i, vis)
+    sits in player i's columns over x_k."""
+    links = []
+    for i in range(t):
+        row = []
+        for vis in range(1 << (n * (t - 1))):
+            seen = tuple_from_index(vis, n, t - 1)
+            xs = seen[:i] + (0,) + seen[i:]
+            row.append(tuple(
+                (k, visible_index(xs, k, n), n * (t - 2 - i + (i > k)), 1 << xs[k])
+                for k in range(t) if k != i
+            ))
+        links.append(row)
+    return links
+
+
+def _flip(cols: list, link: tuple, ys: list[int]) -> None:
+    """Toggle one entry's member points ys in its player's columns (see _links)."""
+    for k, base, shift, bit in link:
+        col = cols[k]
+        for y in ys:
+            col[base | y << shift] ^= bit
+
+
+def _columns(tables: list[list[int]], links: list, sets: tuple[int, ...], points: _Points) -> list:
+    """cols[j][i][vis]: the mask of the x_i for which x_j (read from player i's
+    view vis) lies in the member that player j names at that tuple.
+
+    Every mask is 0 for tables that name no member, so flipping in each
+    entry's member builds them.
+    """
+    t, entries = len(tables), len(tables[0])
+    cols = [[[0] * entries if k != j else None for k in range(t)] for j in range(t)]
+    for j, table in enumerate(tables):
+        for link, m in zip(links[j], table):
+            _flip(cols[j], link, points[sets[m]])
+    return cols
+
+
+def _sweeps(
+    tables: list[list[int]], cols: list, links: list,
+    sets: tuple[int, ...], best: _Argmax, points: _Points,
+) -> Iterator[tuple[bool, int]]:
+    """Best-response sweeps over the players in order, updating tables and cols in place.
+
+    Yields after each sweep whether it changed an entry, and the last player's
+    best-response total in it.
+    """
+    while True:
+        changed = False
+        for i, table in enumerate(tables):
+            # player i's moves flip only player i's columns, so the masks over
+            # x_i stay fixed for the whole of player i's pass
+            into = [cols[j][i] for j in range(len(tables)) if j != i]
+            consistent = into[0]
+            for col in into[1:]:
+                consistent = list(map(and_, consistent, col))
+            wins = 0
+            for vis, u in enumerate(consistent):
+                c, b = best[u]
+                wins += c
+                a = table[vis]
+                if a != b:
+                    table[vis] = b
+                    changed = True
+                    _flip(cols[i], links[i][vis], points[sets[a] ^ sets[b]])
+        yield changed, wins
+
+
 def local_search_p(
     t: int,
     n: int,
@@ -304,6 +385,18 @@ def local_search_p(
     success probability of the returned witness, never an estimate.
     Deterministic for a fixed seed; `threads` is accepted for compatibility
     and has no effect.
+
+    Each restart draws random tables, then sweeps the players in order and
+    sets every entry (i, vis) to the best response to the others' current
+    tables (ties to the lowest member index) until a sweep changes nothing.
+    The sweeps read column masks: for each ordered pair of players (j, i),
+    cols[j][i][vis] is the 2^n-bit mask of the x_i for which x_j (read from
+    vis) lies in the member that player j names at that tuple. An entry's
+    consistent points are the AND of t-1 such masks. A change from member a
+    to member b flips bit x_k of player i's columns for each other player k
+    and each point of sets[a] ^ sets[b]. A restart's win count is the last
+    player's best-response total in the sweep that changed nothing, and
+    `success_probability` re-checks the returned witness once against it.
     """
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got {restarts}")
@@ -320,55 +413,35 @@ def local_search_p(
             f"tuple space 2^{n * t} exceeds the 2^{MAX_EVAL_BITS} evaluation budget"
         )
     family = enumerate_family(kind, n)
-    size = 1 << n
     entries = 1 << (n * (t - 1))
     sets = family.sets
     best = _Argmax(sets)
-    # links[i][vis]: for each other player j, (j, j's visible index with x_i = 0,
-    # the shift of x_i inside it, x_j), read instead of rebuilding the tuples
-    links = []
-    for i in range(t):
-        row = []
-        for vis in range(entries):
-            seen = tuple_from_index(vis, n, t - 1)
-            points = seen[:i] + (0,) + seen[i:]
-            row.append(tuple(
-                (j, visible_index(points, j, n), n * (t - 2 - i + (i > j)), points[j])
-                for j in range(t) if j != i
-            ))
-        links.append(row)
+    points = _Points()
+    links = _links(t, n)
 
-    def ascend(restart: int) -> tuple[Fraction, Strategy, int]:
+    def ascend(restart: int) -> tuple[int, list[list[int]], int]:
         rng = stream_rng(seed, restart)
         tables = [
             [rng.randrange(family.r) for _ in range(entries)] for _ in range(t)
         ]
-        sweeps = 0
-        changed = True
-        while changed:
-            changed = False
-            sweeps += 1
-            for i in range(t):
-                for vis, link in enumerate(links[i]):
-                    consistent = 0
-                    for xi in range(size):
-                        for j, base, shift, xj in link:
-                            if not (sets[tables[j][base | xi << shift]] >> xj & 1):
-                                break
-                        else:
-                            consistent |= 1 << xi
-                    best_j = best[consistent][1]
-                    if tables[i][vis] != best_j:
-                        tables[i][vis] = best_j
-                        changed = True
-        strategy = Strategy(n=n, t=t, tables=tuple(tuple(tb) for tb in tables))
-        return success_probability(strategy, family), strategy, sweeps
+        cols = _columns(tables, links, sets, points)
+        sweeps = _sweeps(tables, cols, links, sets, best, points)
+        for count, (changed, wins) in enumerate(sweeps, 1):
+            if not changed:
+                return wins, tables, count
 
     results = [ascend(restart) for restart in range(restarts)]
-    best_value, best_strategy, _ = max(results, key=lambda res: res[0])  # the first best
+    wins, tables, _ = max(results, key=lambda res: res[0])  # the first best
+    witness = Strategy(n=n, t=t, tables=tuple(map(tuple, tables)))
+    value = Fraction(wins, 1 << (n * t))
+    check = success_probability(witness, family)
+    if check != value:
+        raise AssertionError(
+            f"local search witness re-evaluates to {check}, the ascent counted {value}"
+        )
     return SolveResult(
-        value=best_value,
-        witness=best_strategy,
+        value=value,
+        witness=witness,
         method="local-search",
         work=sum(r[2] for r in results),
     )

@@ -440,6 +440,19 @@ def test_unsupported_size_exits_3():
     assert "unsupported" in res.stderr
 
 
+@pytest.mark.parametrize("spec", ["complete:4097", "edgeless:4097"])
+@pytest.mark.parametrize(
+    "command", [("alpha",), ("alphastar", "--mode", "mc", "--samples", "2")],
+    ids=["alpha", "alphastar-mc"],
+)
+def test_generated_graph_over_the_vertex_cap_exits_3(spec, command):
+    # alphastar --mode mc used to build the graph and exit 0
+    res = run_cli(*command, "--graph", spec)
+    assert res.returncode == 3, res.stderr
+    assert res.stdout == ""
+    assert "n <= 4096" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_construction_stall_exits_4():
     # with the rejection budget forced to zero the first collision aborts the
     # build, which must exit 4 and still report the partial family

@@ -518,6 +518,13 @@ def test_negative_vertex_counts_rejected():
         assert build(0).vcount == 0  # empty graphs stay constructible
 
 
+@pytest.mark.parametrize("build", [complete_graph, edgeless_graph])
+def test_generated_graphs_refuse_more_than_4096_vertices(build):
+    # refused before any row is built; complete(20000) used to take 72 MB first
+    with pytest.raises(UnsupportedSizeError, match="n <= 4096, got 4097"):
+        build(4097)
+
+
 def test_empty_graph_has_no_independence_ratio():
     with pytest.raises(ValueError, match="no vertices"):
         max_independent_set(edgeless_graph(0))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -13,19 +14,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hatlab.errors import MalformedPartitionError, UnsupportedSizeError
-from hatlab.game import enumerate_family, success_probability
+from hatlab.game import (
+    enumerate_family,
+    success_probability,
+    tuple_from_index,
+    visible_index,
+)
 from hatlab.graphs import hamming_power, kneser, max_independent_set
 from hatlab.solver import (
     PartitionView,
     _Argmax,
+    _columns,
     _descend,
+    _links,
+    _Points,
     _scan_last_player,
+    _sweeps,
     best_response_value,
     dominance_chain,
     exact_p,
     local_search_p,
     partition_from_table,
 )
+
+from local_search_reference import reference_local_search
 
 # Frozen optima, each pinned by an independent oracle in this file or in the
 # scratch derivations: 5/16 by full double enumeration, 11/32 and 7/32 by the
@@ -347,6 +359,69 @@ def test_local_search_budget():
         local_search_p(3, 8, "dictator", seed=0, restarts=1)
 
 
+@st.composite
+def local_search_cases(draw):
+    """(t, n, kind, seed, restarts) with at most 2^10 tuples."""
+    t = draw(st.integers(2, 5))
+    n = draw(st.integers(1, min(4, 10 // t)))
+    kind = draw(st.sampled_from(["dictator", "intersecting", "monotone"]))
+    return t, n, kind, draw(st.integers(0, 50)), draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(local_search_cases())
+def test_local_search_matches_per_point_reference(case):
+    res = local_search_p(*case)
+    assert (res.value, res.witness.tables, res.work) == reference_local_search(*case)
+
+
+def columns_by_definition(tables, sets, n):
+    """cols[j][i][vis] from the tables, one tuple at a time."""
+    t, entries = len(tables), len(tables[0])
+    cols = [[[0] * entries if i != j else None for i in range(t)] for j in range(t)]
+    for i, j in product(range(t), repeat=2):
+        if i == j:
+            continue
+        for vis in range(entries):
+            seen = tuple_from_index(vis, n, t - 1)
+            for xi in range(1 << n):
+                xs = seen[:i] + (xi,) + seen[i:]
+                if sets[tables[j][visible_index(xs, j, n)]] >> xs[j] & 1:
+                    cols[j][i][vis] |= 1 << xi
+    return cols
+
+
+@pytest.mark.parametrize(
+    "t,n,kind",
+    [(2, 3, "dictator"), (3, 2, "monotone"), (3, 3, "intersecting"), (4, 2, "dictator")],
+)
+def test_local_search_columns_track_the_tables(t, n, kind):
+    # after every sweep, the masks the ascent reads are those of its tables
+    family = enumerate_family(kind, n)
+    rng = random.Random(t * 10 + n)
+    tables = [[rng.randrange(family.r) for _ in range(1 << n * (t - 1))] for _ in range(t)]
+    links, points = _links(t, n), _Points()
+    cols = _columns(tables, links, family.sets, points)
+    assert cols == columns_by_definition(tables, family.sets, n)
+    sweeps = _sweeps(tables, cols, links, family.sets, _Argmax(family.sets), points)
+    for count, (changed, _) in enumerate(sweeps, 1):
+        assert cols == columns_by_definition(tables, family.sets, n), count
+        if not changed:
+            break
+    assert count > 1
+
+
+def test_local_search_count_check_fires(monkeypatch):
+    # a re-check one tuple away from the ascent's count must not pass silently
+    real = success_probability
+    monkeypatch.setattr(
+        "hatlab.solver.success_probability",
+        lambda strategy, family: real(strategy, family) + Fraction(1, 1 << 9),
+    )
+    with pytest.raises(AssertionError, match="re-evaluates"):
+        local_search_p(3, 3, "dictator", seed=5, restarts=2)
+
+
 # --- dominance chain --------------------------------------------------------
 
 
@@ -409,6 +484,16 @@ PINNED_WITNESSES = [
      "63a2704ac3e58626b9fb5263e58a70ab648f34c32e79662bb051ffe926331a21"),
     (("local_search_p", 4, 2, "dictator", 0, 8), "31/256", "local-search", 23,
      "8d825c96ab7e045293780989d273e8f891717a9555e1391059a9588a9e9ddd94"),
+    # n=5 and the other kinds, recorded on the per-point ascent that the column
+    # masks of local_search_p replaced
+    (("local_search_p", 2, 5, "dictator", 0, 8), "179/512", "local-search", 31,
+     "9f627dfd7e2e8bbf4c595e93eff0aa4ffcd92baf576518df4616761e116f607a"),
+    (("local_search_p", 2, 3, "intersecting", 1, 4), "21/64", "local-search", 11,
+     "c9daaa059a0ed5c82128401511195069ddb1ea618c4076463e23eee7c7038833"),
+    (("local_search_p", 3, 2, "monotone", 2, 6), "13/64", "local-search", 13,
+     "d6e97626a0139a5f8603b1af1c843fb4517e8a041aefedd7e235726bad755e28"),
+    (("local_search_p", 4, 3, "dictator", 0, 2), "637/4096", "local-search", 12,
+     "b84468cc1b73af5ba65634297dd362417efb04fe26fc64fea33b98f19c42e215"),
 ]
 
 
