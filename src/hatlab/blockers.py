@@ -330,9 +330,11 @@ def construct_blockers(
 
     A stalled run (more than `stall_limit` consecutive collisions) returns
     the partial family with `stalled` set instead of raising. A negative
-    `stall_limit` is a ValueError; n outside [4, MAX_DICTATOR_N] raises
-    UnsupportedSizeError before any work.
+    `stall_limit` is a ValueError, and so is n <= 0; a positive n outside
+    [4, MAX_DICTATOR_N] raises UnsupportedSizeError before any work.
     """
+    if n <= 0:
+        raise ValueError(f"need n >= 1, got n={n}")
     if n < PARTS:
         raise UnsupportedSizeError(
             f"need n >= {PARTS} so the partition can have nonempty parts, got {n}"

@@ -250,23 +250,33 @@ class PointSet:
 
 
 def winning_set(strategy: Strategy, family: WinningFamily) -> PointSet:
-    """The set of tuples on which every player names a set containing her point."""
+    """The set of tuples on which every player names a set containing her point.
+
+    Each player gets one byte per tuple: player i's coordinate x_i is bits
+    s..s+n-1 of the tuple index (s = n*(t-1-i)), so the tuples that entry
+    `vis` of her table decides are one extended slice with step 2^s, filled
+    with the digits of the named member (byte x is b"1" iff x is in it).
+    ASCII "0" and "1" differ only in their low bit, so the bytewise AND of
+    the players' digit strings is the digit string of the winning set.
+    """
     strategy.validate(family)
     n, t = strategy.n, strategy.t
-    sets = family.sets
-    tables = strategy.tables
-    bits = 0
-    for idx in range(1 << (n * t)):
-        points = tuple_from_index(idx, n, t)
-        ok = True
-        for i in range(t):
-            choice = tables[i][visible_index(points, i, n)]
-            if not (sets[choice] >> points[i] & 1):
-                ok = False
-                break
-        if ok:
-            bits |= 1 << idx
-    return PointSet(n=n, t=t, bits=bits)
+    size, total = 1 << n, 1 << (n * t)
+    digits = {
+        m: f"{family.sets[m]:0{size}b}"[::-1].encode()
+        for m in set().union(*strategy.tables)
+    }
+    both = -1
+    for i, table in enumerate(strategy.tables):
+        s = n * (t - 1 - i)
+        low, step, span = (1 << s) - 1, 1 << s, size << s
+        arr = bytearray(total)
+        for vis, m in enumerate(table):
+            base = (vis >> s) << (s + n) | (vis & low)
+            arr[base : base + span : step] = digits[m]
+        both &= int.from_bytes(arr, "little")
+    # written back big-endian, tuple 0 is the last digit: the lowest bit
+    return PointSet(n=n, t=t, bits=int(both.to_bytes(total, "big"), 2))
 
 
 def success_probability(strategy: Strategy, family: WinningFamily) -> Fraction:

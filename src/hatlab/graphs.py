@@ -65,7 +65,9 @@ def _empty_adj(n: int) -> list[int]:
 
 def kneser(n: int) -> Graph:
     """Disjointness graph on {0,1}^n; the all-zero vertex is self-adjacent."""
-    if not 1 <= n <= MAX_KNESER_N:
+    if n <= 0:
+        raise ValueError(f"need n >= 1, got n={n}")
+    if n > MAX_KNESER_N:
         raise UnsupportedSizeError(f"kneser supports 1 <= n <= {MAX_KNESER_N}, got {n}")
     size = 1 << n
     full = size - 1
@@ -131,6 +133,8 @@ def shift_graph(m: int) -> Graph:
     The i != k restriction means (i,j)-(j,i) is not an edge and no vertex is
     self-adjacent.
     """
+    if m <= 0:
+        raise ValueError(f"need m >= 1, got m={m}")
     if not 2 <= m <= MAX_SHIFT_M:
         raise UnsupportedSizeError(f"shift_graph supports 2 <= m <= {MAX_SHIFT_M}, got {m}")
     vcount = m * m

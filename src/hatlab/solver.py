@@ -30,7 +30,7 @@ from .game import (
 
 MAX_LAST_PLAYER_TABLES = 70_000
 # allow_slow budget: the 4^16 tables of the t=2, n=4 dictator kind walk in
-# about a minute; the intersecting kind's 12^16 ran 300 s without finishing
+# about half a minute; the intersecting kind's 12^16 ran 300 s without finishing
 MAX_SLOW_LAST_PLAYER_TABLES = 4**16
 MAX_TABLE_INPUT_BITS = 16
 MAX_EVAL_BITS = 20
@@ -110,6 +110,29 @@ def _best_response(
     return total, picks
 
 
+def _score_table(masks: tuple[int, ...] | list[int], entries: int) -> bytes:
+    """F[u] = max over masks w of |w & u|, for every u < 2^entries, one byte each.
+
+    The table lives in one int, one byte lane per subset u. Per mask, adding
+    entry bit e appends the block of subsets that contain e: a copy of the
+    lanes so far, each raised by 1 if w holds e. A lane-wise max folds each
+    mask's lanes into the table. Every lane holds a value <= entries <= 16
+    < 128, so (lane | 0x80) - lane never borrows from the next lane.
+    """
+    size = 1 << entries
+    ones = [int.from_bytes(b"\x01" * (1 << e), "little") for e in range(entries)]
+    high = int.from_bytes(b"\x80" * size, "little")
+    top = 0
+    for w in masks:
+        c = 0  # lane u holds |w & u|, for the u below 2^e
+        for e in range(entries):
+            c |= (c + ones[e] if w >> e & 1 else c) << (8 << e)
+        # 0xff in the lanes where top >= c, 0 elsewhere
+        keep = ((((top | high) - c) & high) >> 7) * 0xFF
+        top = top & keep | c & ~keep
+    return top.to_bytes(size, "little")
+
+
 def _scan_last_player(
     r: int, entries: int, members: list[tuple[int, ...]], best: _Argmax
 ) -> tuple[int, tuple[int, ...]]:
@@ -118,36 +141,39 @@ def _scan_last_player(
     A depth-first walk over the table's entries keeps one union u[x] per point
     (the entries whose member contains x) and cuts a subtree on the budget
     bound of `_descend`. Cuts are strict, so the first optimum in product
-    order survives. Returns (total, table).
+    order survives. The walk reads a point's score from a table of f(u) over
+    all unions u (`_score_table`). Returns (total, table).
     """
     holders = [[x for x, mem in enumerate(members) if i in mem] for i in range(r)]
     # a mask inside another never scores more, so the walk scores maximal masks only
     masks = best.masks
-    best = _Argmax([w for w in masks if not any(w != v and w | v == v for v in masks)])
+    score = _score_table(
+        [w for w in masks if not any(w != v and w | v == v for v in masks)], entries
+    )
     hmax = max(map(len, holders))
     state = [-1, None]
-    _descend(0, [0] * len(members), 0, [0] * entries, holders, hmax, best, state)
+    _descend(0, [0] * len(members), 0, [0] * entries, holders, hmax, score, state)
     return state[0], state[1]
 
 
 def _descend(
     e: int, u: list[int], total: int, table: list[int],
-    holders: list[list[int]], hmax: int, best: _Argmax, state: list,
+    holders: list[list[int]], hmax: int, score: bytes, state: list,
 ) -> None:
     """Try each member at entry e of `table`; state is [incumbent, its table].
 
     `total` is the score of entries 0..e-1: the sum over points of
-    f(u[x]) = max_w |w & u[x]|. f is monotone and rises by at most 1 when u[x]
-    gains one entry. Setting entry e to member i raises only the points of
-    holders[i], by up[x], and each later entry raises at most hmax points, so
-    a child scores at most its own total plus hmax per entry after e (the
-    budget bound). A child is cut when that bound is <= the incumbent; at the
-    last entry the bound is its exact total.
+    f(u[x]) = max_w |w & u[x]| = score[u[x]]. f is monotone and rises by at
+    most 1 when u[x] gains one entry. Setting entry e to member i raises only
+    the points of holders[i], by up[x], and each later entry raises at most
+    hmax points, so a child scores at most its own total plus hmax per entry
+    after e (the budget bound). A child is cut when that bound is <= the
+    incumbent; at the last entry the bound is its exact total.
     """
     bit = 1 << e
     budget = (len(table) - e - 1) * hmax
     last = e + 1 == len(table)
-    up = [best[v | bit][0] - best[v][0] for v in u]
+    up = [score[v | bit] - score[v] for v in u]
     for i, xs in enumerate(holders):
         child_total = total + sum(map(up.__getitem__, xs))
         if child_total + budget <= state[0]:
@@ -158,7 +184,7 @@ def _descend(
             continue
         for x in xs:
             u[x] |= bit
-        _descend(e + 1, u, child_total, table, holders, hmax, best, state)
+        _descend(e + 1, u, child_total, table, holders, hmax, score, state)
         for x in xs:
             u[x] ^= bit
 
@@ -249,8 +275,11 @@ def exact_p(
     t=2 and t=3 through one bounded last-player walk over r^(2^(n(t-1)))
     tables. Up to 70000 tables it runs freely (t=2, n <= 3 for the three
     standard kinds); t=3 (n=2) and t=2 spaces of up to 4^16 tables (the n=4
-    dictator kind) run behind allow_slow. Larger t=2 spaces, such as the
-    n=4 intersecting and monotone kinds, raise UnsupportedSizeError.
+    dictator kind, about 30 s) run behind allow_slow. Larger t=2 spaces,
+    such as the n=4 intersecting and monotone kinds, raise
+    UnsupportedSizeError. Within these budgets the last player's table has
+    at most 16 entries, so the walk's score table (one byte per union of
+    entries) is at most 64 KiB.
     `threads` is accepted for compatibility and has no effect.
     """
     if t < 1:

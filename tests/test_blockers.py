@@ -342,6 +342,12 @@ def test_base_blockers_reject_non_positive_n(n):
         base_blockers(n)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_construct_rejects_non_positive_n_as_a_usage_error(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        construct_blockers(n, seed=1)
+
+
 def test_construct_rejects_tiny_n():
     with pytest.raises(UnsupportedSizeError):
         construct_blockers(3, seed=0)

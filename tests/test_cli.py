@@ -392,6 +392,33 @@ def test_empty_or_negative_graph_exits_2(args):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ("alpha", "--graph", "kneser:0"),
+        ("alpha", "--graph", "kneser:-1"),
+        ("alpha", "--graph", "shift:0"),
+        ("alpha", "--graph", "shift:-1"),
+        ("blocker", "build", "--n", "0", "--seed", "1"),
+        ("blocker", "build", "--n", "-2", "--seed", "1"),
+    ],
+)
+def test_non_positive_graph_and_blocker_sizes_exit_2(args):
+    # these exited 3 ("unsupported size") although the sizes are malformed
+    res = run_cli(*args)
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("spec", ["shift:1", "kneser:14"])
+def test_positive_graph_sizes_out_of_range_still_exit_3(spec):
+    res = run_cli("alpha", "--graph", spec)
+    assert res.returncode == 3, res.stderr
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
     "name,data",
     [
         ("vertex_out_of_range.txt", b"2\n0: 5\n"),

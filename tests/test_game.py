@@ -7,9 +7,12 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatlab.errors import MalformedStrategyError, UnsupportedSizeError
 from hatlab.game import (
+    FAMILY_KINDS,
     Strategy,
     constant_strategy,
     enumerate_family,
@@ -21,6 +24,9 @@ from hatlab.game import (
     visible_index,
     winning_set,
 )
+from hatlab.solver import exact_p
+
+from winning_set_reference import reference_winning_bits
 
 # --- independent oracles ----------------------------------------------------
 
@@ -225,6 +231,35 @@ def test_winning_set_formulations_agree(t, n):
     for _ in range(12):
         s = random_strategy(fam, t, rng)
         assert winning_set(s, fam).bits == inductive_winning_bits(s, fam)
+
+
+@st.composite
+def oracle_strategies(draw, kind):
+    """A random or constant strategy of `kind` with t = 1..5 and n*t <= 14."""
+    t, n = draw(st.sampled_from([
+        (t, n) for t in range(1, 6) for n in range(1, 15)
+        if n * t <= 14 and (kind == "dictator" or n <= 4)
+    ]))
+    family = enumerate_family(kind, n)
+    if draw(st.booleans()):
+        return constant_strategy(family, t, draw(st.integers(0, family.r - 1))), family
+    return random_strategy(family, t, random.Random(draw(st.integers(0, 2**32)))), family
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_winning_set_matches_per_tuple_reference(kind, data):
+    strategy, family = data.draw(oracle_strategies(kind))
+    assert winning_set(strategy, family).bits == reference_winning_bits(strategy, family)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("t,n", [(1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (4, 1)])
+def test_winning_set_of_exact_witness_matches_per_tuple_reference(t, n, kind):
+    family = enumerate_family(kind, n)
+    witness = exact_p(t, n, kind, allow_slow=True).witness
+    assert winning_set(witness, family).bits == reference_winning_bits(witness, family)
 
 
 @pytest.mark.parametrize("t,n", [(2, 2), (3, 2)])

@@ -96,6 +96,19 @@ def test_kneser_budget():
         kneser(14)
 
 
+@pytest.mark.parametrize("build", [kneser, shift_graph])
+@pytest.mark.parametrize("n", [0, -1])
+def test_non_positive_kneser_and_shift_sizes_are_usage_errors(build, n):
+    with pytest.raises(ValueError, match=">= 1"):
+        build(n)
+
+
+def test_shift_graph_of_one_point_is_an_unsupported_size():
+    # a positive size outside the supported range stays UnsupportedSizeError
+    with pytest.raises(UnsupportedSizeError):
+        shift_graph(1)
+
+
 @pytest.mark.parametrize("t", [0, -1])
 def test_non_positive_power_is_a_usage_error(t):
     with pytest.raises(ValueError, match="t >= 1"):

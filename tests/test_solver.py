@@ -29,6 +29,7 @@ from hatlab.solver import (
     _links,
     _Points,
     _scan_last_player,
+    _score_table,
     _sweeps,
     best_response_value,
     dominance_chain,
@@ -288,6 +289,40 @@ def test_scan_last_player_matches_plain_scan_on_ties(case):
     assert _scan_last_player(r, entries, members, _Argmax(wins)) == plain_scan(
         r, entries, members, wins
     )
+
+
+def assert_score_table(masks, entries):
+    """Every u for entries <= 10; above that 300 sampled u, the empty and the full one."""
+    table = _score_table(masks, entries)
+    assert len(table) == 1 << entries
+    if entries <= 10:
+        us = range(1 << entries)
+    else:
+        rng = random.Random(entries)
+        us = [0, (1 << entries) - 1, *(rng.randrange(1 << entries) for _ in range(300))]
+    for u in us:
+        assert table[u] == max((w & u).bit_count() for w in masks), (masks, entries, u)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_score_table_is_the_best_overlap(data):
+    entries = data.draw(st.integers(0, 16))
+    masks = data.draw(st.lists(st.integers(0, (1 << entries) - 1), min_size=1, max_size=8))
+    assert_score_table(masks, entries)
+
+
+@pytest.mark.parametrize("entries", range(17))
+def test_score_table_of_a_single_mask(entries):
+    full = (1 << entries) - 1
+    assert_score_table([full], entries)
+    assert_score_table([0x5555 & full], entries)
+
+
+def test_score_table_of_the_full_16_bit_mask_reaches_16():
+    table = _score_table([0x00FF, 0xFFFF, 0x0F0F], 16)
+    assert table[0xFFFF] == 16
+    assert all(table[u] == u.bit_count() for u in range(1 << 16))
 
 
 # Walked nodes (_descend calls) with the budget bound; a union bound (every
