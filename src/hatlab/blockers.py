@@ -21,7 +21,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterator
 
 from .errors import UnsupportedSizeError
 from .game import MAX_DICTATOR_N, Strategy, WinningFamily, tuple_from_index, tuple_index
@@ -95,7 +94,7 @@ class Counterexample:
     """A partial strategy whose winning set avoids the tested point set.
 
     f1 maps each second coordinate to a 0-based hat index, f2 each first
-    coordinate; unconstrained entries may be filled arbitrarily.
+    coordinate; unconstrained entries may be any hat (`to_strategy` names 0).
     """
 
     t: int
@@ -103,14 +102,14 @@ class Counterexample:
     f1: dict[int, int]
     f2: dict[int, int]
 
-    def to_strategy(self, fill: int = 0) -> Strategy:
+    def to_strategy(self) -> Strategy:
         n = self.n
         if self.t == 1:
             choice = next(iter(self.f1.values()))
             return Strategy(n=n, t=1, tables=((choice,),))
         size = 1 << n
-        t1 = tuple(self.f1.get(y, fill) for y in range(size))
-        t2 = tuple(self.f2.get(x, fill) for x in range(size))
+        t1 = tuple(self.f1.get(y, 0) for y in range(size))
+        t2 = tuple(self.f2.get(x, 0) for x in range(size))
         return Strategy(n=n, t=2, tables=(t1, t2))
 
 
@@ -276,24 +275,18 @@ class BlockerFamily:
         full = (1 << self.n) - 1
         return [(x, full ^ x) for x in range(1 << (self.n - 1))]
 
-    def iter_blockers(self) -> Iterator[Blocker]:
-        if self.blockers is not None:
-            yield from self.blockers
-            return
-        assert self.tuples is not None
-        for x, xbar in self.pair_list():
-            for ytuple in self.tuples:
-                points = tuple((a, y) for a in (x, xbar) for y in ytuple)
-                yield Blocker(t=self.t, n=self.n, points=points)
-
     def materialize(self) -> tuple[Blocker, ...]:
         if self.blockers is None:
             if self.blocker_count > self.MATERIALIZE_LIMIT:
                 raise UnsupportedSizeError(
                     f"{self.blocker_count} blockers exceed the materialization "
-                    f"limit {self.MATERIALIZE_LIMIT}; iterate instead"
+                    f"limit {self.MATERIALIZE_LIMIT}; keep the product form"
                 )
-            self.blockers = tuple(self.iter_blockers())
+            self.blockers = tuple(
+                Blocker(t=self.t, n=self.n, points=tuple((a, y) for a in pair for y in ytuple))
+                for pair in self.pair_list()
+                for ytuple in self.tuples
+            )
         return self.blockers
 
 
@@ -559,8 +552,10 @@ def family_from_json(text: str) -> BlockerFamily:
         if t != 2 or not isinstance(tuples, list):
             raise ValueError("a product family needs t=2 and a list of product tuples")
         for tp in tuples:
-            if 2 * len(set(_index_list(tp, n, "a product tuple"))) != k:
-                raise ValueError(f"a product tuple must hold {k}/2 distinct points")
+            _index_list(tp, n, "a product tuple")
+            # a repeated point would give each product blocker more than k points
+            if 2 * len(tp) != k or len(set(tp)) != len(tp):
+                raise ValueError(f"a product tuple must hold {k}/2 distinct points, got {tp!r}")
     family = BlockerFamily(
         t=t, n=n, k=k, beta=beta, seed=seed, blockers=blockers, tuples=tuples,
         stalled=stalled, certified=certified,
@@ -574,15 +569,17 @@ def family_from_json(text: str) -> BlockerFamily:
 # --- graph blockers ---------------------------------------------------------
 
 
-def min_graph_blocker(g: Graph, limit: int = 200_000) -> tuple[int, tuple[int, ...]]:
+def min_graph_blocker(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Smallest vertex set meeting every maximum independent set.
 
-    Exact, by increasing-size search over hitting sets of the full
-    enumeration of maximum independent sets.
+    Exact, by increasing-size search over hitting sets of all maximum
+    independent sets (at most graphs.MAX_LISTED_SETS). A graph whose every
+    vertex has a self-loop is a ValueError: no vertex set meets its one,
+    empty, maximum independent set.
     """
-    sets = maximum_independent_sets(g, limit=limit)
-    if not sets:
-        return 0, ()
+    sets = maximum_independent_sets(g)
+    if sets == [0]:
+        raise ValueError(f"no vertex set meets the empty maximum independent set of {g.label}")
 
     def extend(chosen: int, remaining: int) -> int | None:
         first_unhit = None
@@ -603,13 +600,12 @@ def min_graph_blocker(g: Graph, limit: int = 200_000) -> tuple[int, tuple[int, .
                 return got
         return None
 
-    for k in range(len(sets) + 1):
-        got = extend(0, k)
-        if got is not None:
-            verts = []
-            m = got
-            while m:
-                verts.append((m & -m).bit_length() - 1)
-                m &= m - 1
-            return len(verts), tuple(sorted(verts))
-    raise AssertionError("hitting set search failed to terminate")
+    # every set is nonempty, so one vertex per set hits them all: k <= len(sets)
+    k = 0
+    while (got := extend(0, k)) is None:
+        k += 1
+    verts = []
+    while got:
+        verts.append((got & -got).bit_length() - 1)
+        got &= got - 1
+    return len(verts), tuple(verts)

@@ -20,6 +20,8 @@ MAX_PRODUCT_VERTICES = 1 << 20
 MAX_MIS_VERTICES = 4096
 MAX_SHIFT_M = 64
 MAX_GENERATED_VERTICES = 4096  # complete, edgeless and G(n, p) graphs
+MAX_SUBSET_DP_VERTICES = 20  # subset-DP budget; the advertised contract is vcount <= 16
+MAX_LISTED_SETS = 200_000  # sets an enumeration lists before UnsupportedSizeError
 
 
 @dataclass(frozen=True)
@@ -389,7 +391,7 @@ def mis_size_in_subset(g: Graph, subset: int) -> int:
 
 
 def mis_size_all_subsets(g: Graph) -> bytes:
-    """alpha(G[W]) for every W, by subset DP. Needs vcount <= 20.
+    """alpha(G[W]) for every W, by subset DP. Needs vcount <= MAX_SUBSET_DP_VERTICES.
 
     Returns bytes of length 2^vcount whose byte w is alpha(G[W]) for the
     vertex set W with bitmask w. The table lives in one int, one byte lane
@@ -398,12 +400,13 @@ def mis_size_all_subsets(g: Graph) -> bytes:
     lanes at once. As a[r & ~adj[h]] <= a[r] (alpha is monotone in W), that
     max is a[r] + 1 exactly where a[r & ~adj[h]] >= a[r], and a[r] elsewhere.
     """
-    if g.vcount > 20:
+    if g.vcount > MAX_SUBSET_DP_VERTICES:
         raise UnsupportedSizeError(
-            f"subset DP needs vcount <= 20, got {g.vcount}"
+            f"subset DP needs vcount <= {MAX_SUBSET_DP_VERTICES}, got {g.vcount}"
         )
-    # Every lane holds a value <= 20 < 128, so (lane | 0x80) - lane never
-    # borrows from the next lane and a[r] + 1 never carries into it.
+    # Every lane holds a value <= MAX_SUBSET_DP_VERTICES < 128, so
+    # (lane | 0x80) - lane never borrows from the next lane and a[r] + 1
+    # never carries into it.
     a = 0  # alpha of the empty graph, the one subset of no vertices
     for h in range(g.vcount):
         lanes = 1 << h
@@ -428,11 +431,11 @@ def mis_size_all_subsets(g: Graph) -> bytes:
     return a.to_bytes(1 << g.vcount, "little")
 
 
-def inclusion_maximal_independent_sets(g: Graph, limit: int = 200_000) -> list[int]:
+def inclusion_maximal_independent_sets(g: Graph) -> list[int]:
     """Every inclusion-maximal independent set (Bron-Kerbosch with pivoting).
 
-    A strictly larger family than maximum_independent_sets; useful when the
-    distinction between "largest" and "unextendable" matters.
+    A strictly larger family than maximum_independent_sets, with the same
+    cap; useful when "largest" and "unextendable" differ.
     """
     eligible = g.eligible
     nonadj = [
@@ -444,9 +447,9 @@ def inclusion_maximal_independent_sets(g: Graph, limit: int = 200_000) -> list[i
     def bk(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
             out.append(r)
-            if len(out) > limit:
+            if len(out) > MAX_LISTED_SETS:
                 raise UnsupportedSizeError(
-                    f"more than {limit} maximal independent sets"
+                    f"more than {MAX_LISTED_SETS} maximal independent sets"
                 )
             return
         px = p | x
@@ -471,8 +474,8 @@ def inclusion_maximal_independent_sets(g: Graph, limit: int = 200_000) -> list[i
     return sorted(out)
 
 
-def maximum_independent_sets(g: Graph, limit: int = 200_000) -> list[int]:
-    """Every maximum independent set, as bitmasks in ascending order."""
+def maximum_independent_sets(g: Graph) -> list[int]:
+    """Every maximum independent set, as ascending bitmasks (at most MAX_LISTED_SETS)."""
     alpha = max_independent_set(g).size
     pool = g.eligible
     adj = g.adj
@@ -483,9 +486,9 @@ def maximum_independent_sets(g: Graph, limit: int = 200_000) -> list[int]:
             return
         if size == alpha:
             out.append(chosen)
-            if len(out) > limit:
+            if len(out) > MAX_LISTED_SETS:
                 raise UnsupportedSizeError(
-                    f"more than {limit} maximum independent sets"
+                    f"more than {MAX_LISTED_SETS} maximum independent sets"
                 )
             return
         # prune when the cover shows the set cannot still reach alpha
@@ -520,8 +523,8 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_from_text(text: str, label: str = "imported") -> Graph:
-    """Inverse of graph_to_text.
+def graph_from_text(text: str) -> Graph:
+    """Inverse of graph_to_text; the graph is labelled "imported".
 
     A vertex count outside [0, MAX_PRODUCT_VERTICES] or a vertex id outside
     [0, vcount) is a ValueError; the count is checked before any allocation.
@@ -547,7 +550,7 @@ def graph_from_text(text: str, label: str = "imported") -> Graph:
             else:
                 adj[v] |= 1 << u
                 adj[u] |= 1 << v
-    return Graph(vcount, tuple(adj), tuple(loop), label)
+    return Graph(vcount, tuple(adj), tuple(loop), "imported")
 
 
 def graph_to_bytes(g: Graph) -> bytes:
@@ -564,8 +567,8 @@ def graph_to_bytes(g: Graph) -> bytes:
     return b"".join(out)
 
 
-def graph_from_bytes(data: bytes, label: str = "imported") -> Graph:
-    """Inverse of graph_to_bytes.
+def graph_from_bytes(data: bytes) -> Graph:
+    """Inverse of graph_to_bytes; the graph is labelled "imported".
 
     Raises ValueError unless the data is exactly one header and vcount rows,
     no row sets a bit at or above vcount, and the rows are symmetric.
@@ -596,4 +599,4 @@ def graph_from_bytes(data: bytes, label: str = "imported") -> Graph:
             if not adj[v] >> u & 1:
                 raise ValueError(f"rows are not symmetric: edge {u}-{v} but not {v}-{u}")
             row &= row - 1
-    return Graph(vcount, tuple(adj), tuple(loop), label)
+    return Graph(vcount, tuple(adj), tuple(loop), "imported")

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from .errors import UnsupportedSizeError
 from .game import WinningFamily, stream_rng
-from .graphs import Graph, max_independent_set, mis_size_all_subsets, mis_size_in_subset
-
-EXACT_LIMIT = 20  # subset-DP budget; the advertised contract is vcount <= 16
+from .graphs import (
+    MAX_SUBSET_DP_VERTICES, Graph, max_independent_set, mis_size_all_subsets, mis_size_in_subset
+)
 
 
 def sample_Rv(family: WinningFamily, seed: int) -> tuple[int, tuple[int, ...]]:
@@ -59,7 +59,8 @@ def check_Rv_statistics(
 
     Sampling is only a smoke test against the exact counts; any exact
     violation is reported as a finding rather than raised, since it would
-    indicate a broken family enumeration.
+    indicate a broken family enumeration. `samples=0` skips the smoke test
+    (the empirical deviation reads 0.0) and keeps the exact counts.
     """
     n, r = family.n, family.r
     size = 1 << n
@@ -137,10 +138,10 @@ def _check_vertices(g: Graph) -> None:
 def alpha_star_star_exact(g: Graph) -> Fraction:
     """E_W[ max independent subset of W ] / vcount, by full enumeration."""
     _check_vertices(g)
-    if g.vcount > EXACT_LIMIT:
+    if g.vcount > MAX_SUBSET_DP_VERTICES:
         raise UnsupportedSizeError(
             f"exact alpha** enumerates 2^{g.vcount} subsets; budget is "
-            f"vcount <= {EXACT_LIMIT}, use alpha_star_star_mc"
+            f"vcount <= {MAX_SUBSET_DP_VERTICES}, use alpha_star_star_mc"
         )
     table = mis_size_all_subsets(g)
     return Fraction(sum(table), len(table) * g.vcount)
@@ -159,7 +160,7 @@ def alpha_star_star_mc(
 ) -> AlphaStarStarEstimate:
     """Unbiased Monte Carlo estimate; each sample's MIS is solved exactly.
 
-    `threads` is accepted for compatibility and has no effect.
+    `threads` has no effect; it stays while `perfbench/workloads.py` passes it.
     """
     _check_vertices(g)
     if samples < 2:
@@ -190,12 +191,8 @@ def epsilon_gap(
     mode: str = "exact",
     samples: int = 10_000,
     seed: int = 0,
-    threads: int = 1,
 ) -> GapResult:
-    """alpha_bar(G) - alpha**(G), exact or estimated per `mode`.
-
-    `threads` is accepted for compatibility and has no effect.
-    """
+    """alpha_bar(G) - alpha**(G), exact or estimated per `mode`."""
     alpha_bar = max_independent_set(g).alpha_bar
     if mode == "exact":
         a2 = alpha_star_star_exact(g)

@@ -279,8 +279,8 @@ def exact_p(
     such as the n=4 intersecting and monotone kinds, raise
     UnsupportedSizeError. Within these budgets the last player's table has
     at most 16 entries, so the walk's score table (one byte per union of
-    entries) is at most 64 KiB.
-    `threads` is accepted for compatibility and has no effect.
+    entries) is at most 64 KiB. `threads` has no effect; it stays while
+    `perfbench/workloads.py` passes it.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got t={t}")
@@ -412,8 +412,8 @@ def local_search_p(
 
     Lower-bound certificate generator: the returned value is the exact
     success probability of the returned witness, never an estimate.
-    Deterministic for a fixed seed; `threads` is accepted for compatibility
-    and has no effect.
+    Deterministic for a fixed seed. `threads` has no effect; it stays while
+    `perfbench/workloads.py` passes it.
 
     Each restart draws random tables, then sweeps the players in order and
     sets every entry (i, vis) to the best response to the others' current
@@ -477,12 +477,9 @@ def local_search_p(
 
 
 def dominance_chain(
-    t: int, n: int, *, allow_slow: bool = False, threads: int = 1
+    t: int, n: int, *, allow_slow: bool = False
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """(p_dict, p_intersecting, p_monotone) at (t, n), checked non-decreasing.
-
-    `threads` is accepted for compatibility and has no effect.
-    """
+    """(p_dict, p_intersecting, p_monotone) at (t, n), checked non-decreasing."""
     p_dict = exact_p(t, n, "dictator", allow_slow=allow_slow).value
     p_int = exact_p(t, n, "intersecting", allow_slow=allow_slow).value
     p_mono = exact_p(t, n, "monotone", allow_slow=allow_slow).value

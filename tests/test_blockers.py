@@ -27,7 +27,7 @@ from hatlab.blockers import (
 )
 from hatlab.errors import UnsupportedSizeError
 from hatlab.game import MAX_DICTATOR_N, enumerate_family, winning_set
-from hatlab.graphs import complete_graph, shift_graph
+from hatlab.graphs import complete_graph, graph_from_text, shift_graph
 from hatlab.solver import exact_p
 
 from blocker_reference import brute_force_is_blocker
@@ -284,6 +284,38 @@ def test_product_family_disjointness_is_exact():
     )
 
 
+def test_explicit_family_disjointness_is_exact():
+    shared = Blocker(t=2, n=2, points=((0, 3), (3, 0)))
+    overlapping = Blocker(t=2, n=2, points=((3, 0), (1, 2)))
+    family = BlockerFamily(t=2, n=2, k=2, beta=Fraction(3, 16), blockers=(shared, overlapping))
+    assert not check_pairwise_disjoint(family)
+
+
+def test_certify_family_reports_the_failing_blocker():
+    # {1, 6} and {2, 5} are complement pairs at n=3; {2, 4} misses coordinate 1
+    family = BlockerFamily(
+        t=1, n=3, k=2, beta=Fraction(5, 8),
+        blockers=tuple(
+            Blocker(t=1, n=3, points=((a,), (b,))) for a, b in ((1, 6), (2, 4), (2, 5))
+        ),
+    )
+    cert = certify_family(family, enumerate_family("dictator", 3))
+    assert (cert.certified, cert.failures, cert.oracle_runs) == (False, (1,), 3)
+
+
+def test_certify_family_reports_the_failing_product_tuple():
+    good = construct_blockers(4, 2, 0.5).tuples[0]
+    # every point of the second tuple is white at hat 3, so the second player
+    # naming hat 3 everywhere dodges each of its products
+    family = BlockerFamily(
+        t=2, n=4, k=12, beta=Fraction(9, 16), tuples=[good, (1, 2, 3, 4, 5, 6)]
+    )
+    cert = certify_family(family, enumerate_family("dictator", 4))
+    assert not cert.certified
+    assert cert.failures == (1,)
+    assert cert.blockers_covered == 16
+
+
 def test_construct_n16_window_and_class_certification():
     family = construct_blockers(16, seed=7, delta=0.15)
     assert family.k == 12
@@ -476,6 +508,19 @@ def test_family_json_rejects_product_entry_out_of_range():
         family_from_json(json.dumps(doc))
 
 
+BAD_PRODUCT_DOC = {
+    "t": 2, "n": 4, "k": 12, "beta": "3/8",
+    "product": {"base": "complement-pairs", "tuples": [[1, 1, 2, 3, 4, 5, 6]]},
+}
+
+
+def test_family_json_rejects_product_tuple_with_a_repeated_point():
+    # six distinct points, as k=12 asks, but seven entries: every product
+    # blocker would hold 14 points
+    with pytest.raises(ValueError, match="12/2 distinct points, got \\[1, 1, 2, 3, 4, 5, 6\\]"):
+        family_from_json(json.dumps(BAD_PRODUCT_DOC))
+
+
 @pytest.mark.parametrize("t,n", [(3, 4), (2, 17)])
 def test_family_json_rejects_unsupported_t_or_n(t, n):
     # decoding a point costs O(n * t); only t <= 2 dictator-sized n are built here
@@ -514,6 +559,13 @@ def test_min_graph_blocker_shift_graphs_computed_values():
         for v in witness:
             chosen |= 1 << v
         assert all(s & chosen for s in reference_maximum_independent_sets(g))
+
+
+def test_min_graph_blocker_refuses_a_graph_with_no_eligible_vertex():
+    # both vertices are self-looped: alpha = 0 and the one maximum set is empty
+    g = graph_from_text("2\n0: 0 1\n1: 1\n")
+    with pytest.raises(ValueError, match="no vertex set meets"):
+        min_graph_blocker(g)
 
 
 def test_parse_beta():

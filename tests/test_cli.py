@@ -455,6 +455,20 @@ def test_blocker_verify_malformed_exits_2(tmp_path, change, drop):
     assert "Traceback" not in res.stderr
 
 
+def test_blocker_verify_product_tuple_with_a_repeated_point_exits_2(tmp_path):
+    # six distinct points as k=12 asks, but seven entries: 14-point blockers
+    doc = {"t": 2, "n": 4, "k": 12, "beta": "3/8",
+           "product": {"base": "complement-pairs", "tuples": [[1, 1, 2, 3, 4, 5, 6]]}}
+    f = tmp_path / "fam.json"
+    f.write_text(json.dumps(doc))
+    res = run_cli("blocker", "verify", "--file", str(f))
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert res.stderr == (
+        "hatlab: a product tuple must hold 12/2 distinct points, got [1, 1, 2, 3, 4, 5, 6]\n"
+    )
+
+
 def test_search_without_restarts_exits_2():
     res = run_cli("solve", "--t", "2", "--n", "2", "--mode", "search", "--restarts", "0")
     assert res.returncode == 2, res.stderr

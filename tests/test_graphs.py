@@ -334,6 +334,22 @@ def test_maximum_independent_sets_enumeration():
     assert all(s.bit_count() == 9 for s in sets6)
 
 
+@pytest.mark.parametrize("which", ["maximum", "maximal"])
+def test_enumerations_refuse_more_sets_than_the_cap(which, monkeypatch):
+    # shift(4) has 16 maximum independent sets and more maximal ones
+    from hatlab.graphs import inclusion_maximal_independent_sets
+
+    enumerate_sets = {
+        "maximum": maximum_independent_sets,
+        "maximal": inclusion_maximal_independent_sets,
+    }[which]
+    monkeypatch.setattr(graphs_module, "MAX_LISTED_SETS", 16)
+    assert len(maximum_independent_sets(shift_graph(4))) == 16
+    monkeypatch.setattr(graphs_module, "MAX_LISTED_SETS", 15)
+    with pytest.raises(UnsupportedSizeError, match=f"more than 15 {which} independent sets"):
+        enumerate_sets(shift_graph(4))
+
+
 # (graph, size, nodes_explored, sha256 of hex(set_bits)), recorded before the
 # search nodes were made cheaper: the search tree and the set it returns must
 # not change

@@ -394,6 +394,14 @@ def test_local_search_budget():
         local_search_p(3, 8, "dictator", seed=0, restarts=1)
 
 
+def test_local_search_rejects_zero_restarts_and_wide_tables():
+    with pytest.raises(ValueError, match="restarts >= 1"):
+        local_search_p(2, 2, "dictator", seed=0, restarts=0)
+    # n * (t - 1) = 17 visible bits per table, while n * t = 34 is checked after it
+    with pytest.raises(UnsupportedSizeError, match="table input space 2\\^17"):
+        local_search_p(2, 17, "dictator", seed=0, restarts=1)
+
+
 @st.composite
 def local_search_cases(draw):
     """(t, n, kind, seed, restarts) with at most 2^10 tuples."""
