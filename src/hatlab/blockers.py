@@ -513,8 +513,9 @@ def _index_list(value, bits: int, what: str) -> list[int]:
 
 
 def family_from_json(text: str) -> BlockerFamily:
-    """Inverse of family_to_json; a malformed document, or a beta that is not
-    the union measure of its blockers, raises ValueError."""
+    """Inverse of family_to_json; a malformed document, blockers that share
+    a point, or a beta that is not the union measure of its blockers, raises
+    ValueError."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("a blocker family document must be a JSON object")
@@ -560,6 +561,8 @@ def family_from_json(text: str) -> BlockerFamily:
         t=t, n=n, k=k, beta=beta, seed=seed, blockers=blockers, tuples=tuples,
         stalled=stalled, certified=certified,
     )
+    if not check_pairwise_disjoint(family):
+        raise ValueError("the blockers are not pairwise disjoint: a point lies in two of them")
     measure = union_measure(family)
     if measure != beta:
         raise ValueError(f"beta {beta} does not match the union measure {measure}")

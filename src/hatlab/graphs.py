@@ -344,6 +344,32 @@ def max_independent_set(g: Graph) -> MisResult:
     )
 
 
+def _min_degree_greedy(adj: tuple[int, ...], pool: int) -> tuple[int, int]:
+    """A maximal independent set within pool: (size, set_bits).
+
+    Each step takes a vertex of minimum degree in what is left of the pool
+    (lowest index on ties) and drops it and its neighbours. A vertex of
+    degree 0 or 1 ends the scan early: some maximum independent set of the
+    pool holds it, as `_peel` relies on too.
+    """
+    chosen = 0
+    while pool:
+        best_deg = pool.bit_count()
+        m = pool
+        while m:
+            low = m & -m
+            m ^= low
+            a = adj[low.bit_length() - 1]
+            d = (a & pool).bit_count()
+            if d < best_deg:
+                best_deg, best, best_adj = d, low, a
+                if d <= 1:
+                    break
+        chosen |= best
+        pool &= ~(best_adj | best)
+    return chosen.bit_count(), chosen
+
+
 def _mis_size(adj: tuple[int, ...], pool: int) -> int:
     """Size of a maximum independent set within pool.
 
@@ -351,9 +377,13 @@ def _mis_size(adj: tuple[int, ...], pool: int) -> int:
     and node count, which `hatlab alpha` prints and tests pin. This search
     returns only the size, so it is free to branch differently: it walks
     fewer nodes on the shallow subset searches of alpha** Monte Carlo. Both
-    use the same `_peel` and `_cover_rest`.
+    use the same `_peel` and `_cover_rest`. The root is peeled first, and
+    the incumbent is the peeled vertices plus `_min_degree_greedy` on the
+    core they leave: run on the raw pool, the greedy costs more than it saves.
     """
-    return _mis_size_node(adj, pool, 0, _greedy_lower(adj, pool)[0])
+    core, taken, _, _ = _peel(adj, pool)
+    size = taken.bit_count()
+    return _mis_size_node(adj, core, size, size + _min_degree_greedy(adj, core)[0])
 
 
 def _mis_size_node(adj: tuple[int, ...], p: int, size: int, best: int) -> int:

@@ -12,11 +12,17 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import UnsupportedSizeError
 from .game import WinningFamily, stream_rng
 from .graphs import (
-    MAX_SUBSET_DP_VERTICES, Graph, max_independent_set, mis_size_all_subsets, mis_size_in_subset
+    MAX_MIS_VERTICES,
+    MAX_SUBSET_DP_VERTICES,
+    Graph,
+    max_independent_set,
+    mis_size_all_subsets,
+    mis_size_in_subset,
 )
 
 
@@ -160,16 +166,33 @@ def alpha_star_star_mc(
 ) -> AlphaStarStarEstimate:
     """Unbiased Monte Carlo estimate; each sample's MIS is solved exactly.
 
+    Sample i draws W from `stream_rng(seed, i)`, so the estimate depends on
+    the seed alone. A graph within the subset-DP budget
+    (vcount <= MAX_SUBSET_DP_VERTICES) reads alpha(G[W]) from one
+    `mis_size_all_subsets` table; a larger one runs the size-only search of
+    `mis_size_in_subset` per sample. Both give the same exact size, so the
+    route never changes the estimate. Over MAX_MIS_VERTICES, as for
+    `max_independent_set`, it raises UnsupportedSizeError.
+
     `threads` has no effect; it stays while `perfbench/workloads.py` passes it.
     """
     _check_vertices(g)
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     v = g.vcount
+    if v > MAX_MIS_VERTICES:
+        raise UnsupportedSizeError(
+            f"alpha** Monte Carlo solves each sample exactly, up to {MAX_MIS_VERTICES} "
+            f"vertices; got {v}"
+        )
+    if v <= MAX_SUBSET_DP_VERTICES:
+        size_of = mis_size_all_subsets(g).__getitem__
+    else:
+        size_of = partial(mis_size_in_subset, g)
     s1 = s2 = 0
     for i in range(samples):
         # the draw of sample_binomial_subset(v, seed, i), without its wrapper
-        a = mis_size_in_subset(g, stream_rng(seed, i).getrandbits(v))
+        a = size_of(stream_rng(seed, i).getrandbits(v))
         s1 += a
         s2 += a * a
     mean = s1 / (samples * v)

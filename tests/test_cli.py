@@ -207,10 +207,10 @@ def test_record_golden_bytes():
 def test_blocker_verify_reports_counterexample(tmp_path):
     # a hand-made family with one real blocker and one refutable set
     doc = {
-        "t": 1, "n": 3, "k": 2, "beta": "3/8", "seed": None,
+        "t": 1, "n": 3, "k": 2, "beta": "1/2", "seed": None,
         "certified": False, "stalled": False,
-        # {001,110} covers all coordinates; {100,110} leaves bit 0 uncovered
-        "blockers": [[1, 6], [4, 6]],
+        # {001,110} covers all coordinates; {100,010} leaves bit 0 uncovered
+        "blockers": [[1, 6], [4, 2]],
     }
     f = tmp_path / "fam.json"
     f.write_text(json.dumps(doc))
@@ -279,20 +279,24 @@ def test_blocker_oracle_stdout_pinned(tmp_path):
     # recorded before the oracle was rewritten as a lane test. The verified
     # family is the n=4 construction with the last point of every second
     # blocker moved to a fresh first coordinate, so certified blockers and
-    # counterexamples alternate.
+    # counterexamples alternate. The moved points avoid every other blocker,
+    # as the decoder rejects blockers that share a point; the verify digest
+    # was recorded on this family before that check came in.
     from hatlab.blockers import construct_blockers, family_to_json
 
     doc = json.loads(family_to_json(construct_blockers(4, 2, 0.5)))
+    taken = {i for flat in doc["blockers"] for i in flat}
     for flat in doc["blockers"][1::2]:
         used = {i >> 4 for i in flat}
-        flat[-1] = next(i for i in range(256) if i not in flat and i >> 4 not in used)
+        flat[-1] = next(i for i in range(256) if i not in taken and i >> 4 not in used)
+        taken.add(flat[-1])
     # the moved points change the union, so beta must follow it to decode
     doc["beta"] = f"{len({i for flat in doc['blockers'] for i in flat})}/256"
     (tmp_path / "fam.json").write_text(json.dumps(doc))
     res = run_cli("blocker", "verify", "--file", "fam.json", cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
-        "3eb3b6158336f6de83679151216f939ab638b8d492342242659851114e1aa386"
+        "6f4b85825f99ee2684d8501b030e2162cd076f91e22e3414560c65106b65c244"
     )
     out = tmp_path / "built.json"
     res = run_cli("blocker", "build", "--n", "8", "--seed", "7", "--delta", "0.5",
@@ -343,6 +347,16 @@ def test_csv_format():
     cols = dict(zip(header.split(","), row.split(",")))
     assert cols["result_value"] == "1/2"
     assert cols["command"] == "solve"
+
+
+def test_package_runs_as_a_module():
+    # `python -m hatlab` and `python -m hatlab.cli` are the same command line
+    args = ("alphastar", "--graph", "shift:4", "--mode", "mc", "--samples", "200")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run([sys.executable, "-m", "hatlab", *args],
+                         capture_output=True, text=True, timeout=600, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == run_cli(*args).stdout
 
 
 # --- exit codes -------------------------------------------------------------
@@ -469,6 +483,26 @@ def test_blocker_verify_product_tuple_with_a_repeated_point_exits_2(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"t": 1, "n": 2, "k": 2, "beta": "1/2", "blockers": [[0, 3], [0, 3]]},
+        {"t": 2, "n": 4, "k": 12, "beta": "3/8",
+         "product": {"base": "complement-pairs",
+                     "tuples": [[3, 5, 6, 9, 10, 12], [12, 10, 9, 6, 5, 3]]}},
+    ],
+    ids=["explicit", "product"],
+)
+def test_blocker_verify_overlapping_blockers_exits_2(tmp_path, doc):
+    # beta is the union measure, so these used to verify as certified
+    f = tmp_path / "fam.json"
+    f.write_text(json.dumps(doc))
+    res = run_cli("blocker", "verify", "--file", str(f))
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert "not pairwise disjoint" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_search_without_restarts_exits_2():
     res = run_cli("solve", "--t", "2", "--n", "2", "--mode", "search", "--restarts", "0")
     assert res.returncode == 2, res.stderr
@@ -492,6 +526,17 @@ def test_generated_graph_over_the_vertex_cap_exits_3(spec, command):
     assert res.returncode == 3, res.stderr
     assert res.stdout == ""
     assert "n <= 4096" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_alphastar_mc_over_the_mis_vertex_cap_exits_3_at_once():
+    # kneser:2 --power 7 has 16384 vertices; this ran 75 s and exited 0
+    start = time.perf_counter()
+    res = run_cli("alphastar", "--graph", "kneser:2", "--power", "7", "--mode", "mc",
+                  "--samples", "2")
+    assert res.returncode == 3, res.stderr
+    assert time.perf_counter() - start < 10
+    assert res.stdout == ""
+    assert "up to 4096 vertices" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_construction_stall_exits_4():

@@ -27,6 +27,7 @@ from hatlab.game import enumerate_family, tuple_from_index, tuple_index, winning
 from hatlab.graphs import (
     Graph,
     _cover_rest,
+    _min_degree_greedy,
     _mis_search,
     _mis_size,
     graph_from_bytes,
@@ -191,6 +192,17 @@ def test_cover_rest_is_a_sound_clique_cover_bound(g, k, data):
     more = _cover_rest(g.adj, pool, k + 1)
     assert more & ~rest == 0
     assert more != rest or not rest
+
+
+@bounded
+@given(graphs(), st.integers(0, 1 << 32))
+def test_min_degree_greedy_gives_a_maximal_independent_set_of_the_pool(g, seed):
+    pool = random.Random(seed).getrandbits(g.vcount) & g.eligible
+    size, chosen = _min_degree_greedy(g.adj, pool)
+    assert chosen & ~pool == 0 and chosen.bit_count() == size
+    assert all(g.adj[v] & chosen == 0 for v in range(g.vcount) if chosen >> v & 1)
+    # maximal: every other vertex of the pool has a neighbour in the set
+    assert all(g.adj[v] & chosen for v in range(g.vcount) if (pool & ~chosen) >> v & 1)
 
 
 # graphs whose random subsets make the size-only search branch both ways

@@ -195,18 +195,24 @@ def test_mc_edgeless_exact_half():
     assert abs(est.mean - 0.5) <= 4 * est.stderr
 
 
-# (mean, stderr) reprs at seed 11, recorded before alpha_star_star_mc moved to
-# the size-only MIS search; each sample's draw and size must be unchanged
+# (mean, stderr) reprs at seed 11, each sample's draw and size unchanged since
+# they were recorded. The first four predate the size-only MIS search; the
+# last three, which straddle the subset-DP budget (kneser(4) has a self-loop),
+# predate the subset-DP table route.
 PINNED_MC = [
     (lambda: shift_graph(8), 2000, "0.184171875", "0.0004560095071130376"),
     (lambda: hamming_power(kneser(3), 2), 4000, "0.23473046875", "0.0004538703599295031"),
     (lambda: shift_graph(4), 10000, "0.2164875", "0.0003674894409692917"),
     (lambda: hamming_power(kneser(4), 2), 200, "0.2318359375", "0.0009769550090592573"),
+    (lambda: kneser(4), 2000, "0.31946875", "0.0017710071096158542"),
+    (lambda: random_graph(20, 0.3, 3), 2000, "0.27525", "0.001171283356985479"),
+    (lambda: random_graph(21, 0.3, 3), 2000, "0.2647380952380952", "0.0010529887947035275"),
 ]
 
 
 @pytest.mark.parametrize(
-    "make,samples,mean,stderr", PINNED_MC, ids=["shift8", "kneser3^2", "shift4", "kneser4^2"]
+    "make,samples,mean,stderr", PINNED_MC,
+    ids=["shift8", "kneser3^2", "shift4", "kneser4^2", "kneser4", "gnp20", "gnp21"],
 )
 def test_mc_estimates_pinned(make, samples, mean, stderr):
     est = alpha_star_star_mc(make(), samples=samples, seed=11)
