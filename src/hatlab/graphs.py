@@ -16,7 +16,7 @@ from functools import cached_property
 from .errors import UnsupportedSizeError
 
 MAX_KNESER_N = 13
-MAX_PRODUCT_VERTICES = 1 << 20
+MAX_PRODUCT_VERTICES = 1 << 16  # rows of v vertices cost v^2/8 bytes: 512 MiB here
 MAX_MIS_VERTICES = 4096
 MAX_SHIFT_M = 64
 MAX_GENERATED_VERTICES = 4096  # complete, edgeless and G(n, p) graphs
@@ -121,6 +121,12 @@ def hamming_product(g: Graph, h: Graph) -> Graph:
 def hamming_power(g: Graph, t: int) -> Graph:
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
+    # checked before any factor is built: kneser(2)^9 would first build K(2)^8.
+    # Past t = 64 a graph of two or more vertices is over the cap anyway.
+    if t > 1 and g.vcount ** min(t, 64) > MAX_PRODUCT_VERTICES:
+        raise UnsupportedSizeError(
+            f"power would have {g.vcount}^{t} vertices, over {MAX_PRODUCT_VERTICES}"
+        )
     out = g
     for _ in range(t - 1):
         out = hamming_product(out, g)
@@ -284,33 +290,120 @@ def _peel(adj: tuple[int, ...], p: int) -> tuple[int, int, int, int]:
             return p, taken, branch, branch_adj
 
 
+# a byte lane holds 0x80 + degree, so a degree vector needs every degree <= 127
+MAX_LANE_DEGREE = 0x7F
+_BIT_LANES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _byte_lanes(m: int) -> int:
+    """Bitmask m spread to one byte lane per bit: lane v is 1 where bit v is set."""
+    return int.from_bytes(bin(m)[:1:-1].encode().translate(_BIT_LANES), "little")
+
+
 def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
     """Exact max independent set within pool: (size, set_bits, nodes).
 
-    Each node runs `_peel` and branches on the vertex it picks: include it,
-    then exclude it. A node is pruned when the greedy clique cover leaves no
-    vertex after as many cliques as there is room under the incumbent
-    (`_cover_rest`).
+    Each node peels the vertices of degree 0 or 1 as `_peel` does and
+    branches on the vertex that peel picks: include it, then exclude it. A
+    node is pruned when the greedy clique cover leaves no vertex after as
+    many cliques as there is room under the incumbent (`_cover_rest`).
+
+    The root runs `_peel`, so a graph that closes there builds no lanes (for
+    K(2)^6 they would take 21 ms, the whole search takes 6 ms). Below a root
+    that branches, and when every degree in its peeled core is at most
+    MAX_LANE_DEGREE, the nodes peel with a degree vector: one int whose byte
+    lane v holds 0x80 + deg_p(v) while v is in the pool p, and deg_p(v)
+    alone (below 0x80) once v has left it. Dropping v subtracts a
+    precomputed int, 0x80 in lane v plus one in the lane of each core
+    neighbour. Each take is a C-level search of the lanes for a 0x80 or
+    0x81 byte, resumed after the last take, and the branch vertex is the
+    first largest byte: `_peel`'s take order and branch vertex, because
+    degrees only fall. A core degree over MAX_LANE_DEGREE fits no lane, and
+    then every node runs `_peel`.
     """
     best_size, best_set = _greedy_lower(adj, pool)
-    nodes = 0
+    nodes = 1
 
-    def rec(p: int, size: int, chosen: int) -> None:
-        nonlocal best_size, best_set, nodes
-        nodes += 1
-        p, taken, branch, branch_adj = _peel(adj, p)
-        chosen |= taken
-        size += taken.bit_count()
+    def settled(p: int, size: int, chosen: int) -> bool:
+        # a node with nothing left is a leaf; one the cover bound prunes is done too
+        nonlocal best_size, best_set
         if p == 0:
             if size > best_size:
                 best_size, best_set = size, chosen
-            return
-        if not _cover_rest(adj, p, best_size - size):
+            return True
+        return not _cover_rest(adj, p, best_size - size)
+
+    def rec(p: int, size: int, chosen: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        p, taken, branch, branch_adj = _peel(adj, p)
+        size += taken.bit_count()
+        chosen |= taken
+        if settled(p, size, chosen):
             return
         rec(p & ~(branch_adj | branch), size + 1, chosen | branch)
         rec(p ^ branch, size, chosen)
 
-    rec(pool, 0, 0)
+    def lane_rec(p: int, deg: int, size: int, chosen: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        lanes = deg.to_bytes(width, "little")
+        start = 0
+        peeled = False
+        while True:
+            v = lanes.find(b"\x80", start)
+            w = lanes.find(b"\x81", start)
+            if w >= 0 and not 0 <= v < w:
+                v = w
+            if v < 0:
+                if not peeled:
+                    break
+                start = 0
+                peeled = False
+                continue
+            # degree 0 or 1: take the vertex, drop it and its neighbour
+            low = 1 << v
+            d = adj[v] & p
+            p ^= d | low
+            chosen |= low
+            size += 1
+            deg -= drop[v]
+            if d:
+                deg -= drop[d.bit_length() - 1]
+            lanes = deg.to_bytes(width, "little")
+            start = v + 1
+            peeled = True
+        if not settled(p, size, chosen):
+            lane_branch(lanes.index(max(lanes)), p, deg, size, chosen)
+
+    def lane_branch(v: int, p: int, deg: int, size: int, chosen: int) -> None:
+        # include v (drop its closed neighbourhood), then exclude it
+        low = 1 << v
+        nbrs = adj[v] & p
+        deg -= drop[v]
+        inc = deg
+        m = nbrs
+        while m:
+            u = m.bit_length() - 1
+            m ^= 1 << u
+            inc -= drop[u]
+        lane_rec(p & ~(nbrs | low), inc, size + 1, chosen | low)
+        lane_rec(p ^ low, deg, size, chosen)
+
+    core, taken, branch, branch_adj = _peel(adj, pool)
+    size = taken.bit_count()
+    if settled(core, size, taken):
+        return best_size, best_set, nodes
+    width = core.bit_length()
+    verts = [v for v in range(width) if core >> v & 1]
+    if max((adj[v] & core).bit_count() for v in verts) > MAX_LANE_DEGREE:
+        rec(core & ~(branch_adj | branch), size + 1, taken | branch)
+        rec(core ^ branch, size, taken)
+        return best_size, best_set, nodes
+    drop = [0] * width
+    for v in verts:
+        drop[v] = _byte_lanes(adj[v] & core) + (0x80 << 8 * v)
+    lane_branch(branch.bit_length() - 1, core, sum(drop), size, taken)
     return best_size, best_set, nodes
 
 
@@ -377,9 +470,13 @@ def _mis_size(adj: tuple[int, ...], pool: int) -> int:
     and node count, which `hatlab alpha` prints and tests pin. This search
     returns only the size, so it is free to branch differently: it walks
     fewer nodes on the shallow subset searches of alpha** Monte Carlo. Both
-    use the same `_peel` and `_cover_rest`. The root is peeled first, and
-    the incumbent is the peeled vertices plus `_min_degree_greedy` on the
-    core they leave: run on the raw pool, the greedy costs more than it saves.
+    use `_cover_rest`. This one runs `_peel` at every node, without
+    `_mis_search`'s lane degree vector: its pools are small and peel few
+    vertices, so the lanes cost more to set up than they save (on the
+    alpha** draws, `K(3)^2` went from 0.08 to 0.12 s). The root is peeled
+    first, and the incumbent is the peeled vertices plus `_min_degree_greedy`
+    on the core they leave: run on the raw pool, the greedy costs more than
+    it saves.
     """
     core, taken, _, _ = _peel(adj, pool)
     size = taken.bit_count()

@@ -163,6 +163,45 @@ def test_power_one_is_identity():
     assert hamming_power(g, 1).adj == g.adj
 
 
+def _no_product(g, h):
+    raise AssertionError("a factor was built")
+
+
+def _no_rows(n):
+    raise AssertionError(f"{n} rows were allocated")
+
+
+@pytest.mark.parametrize(
+    "base,t", [(2, 9), (5, 4), (2, 10**12)], ids=["kneser2^9", "kneser5^4", "kneser2^huge"]
+)
+def test_power_over_the_product_cap_raises_before_building_a_factor(base, t, monkeypatch):
+    # K(2)^9 used to build K(2)^8 (484 MiB) and then ask for 8 GiB of rows;
+    # K(5)^4 has 2^20 vertices and asked for 128 GiB
+    monkeypatch.setattr(graphs_module, "hamming_product", _no_product)
+    with pytest.raises(UnsupportedSizeError, match=f"over {MAX_PRODUCT_VERTICES}"):
+        hamming_power(kneser(base), t)
+
+
+def test_product_cap_is_a_row_budget_that_admits_kneser2_power8(monkeypatch):
+    # v^2/8 bytes of rows: 512 MiB at the cap, which K(2)^8 = 4^8 vertices meets
+    assert MAX_PRODUCT_VERTICES**2 // 8 == 512 << 20
+    shapes = []
+
+    def shape_only(g, h):
+        shapes.append((g.vcount, h.vcount))
+        return Graph(g.vcount * h.vcount, (), (), "shape")
+
+    monkeypatch.setattr(graphs_module, "hamming_product", shape_only)
+    assert hamming_power(kneser(2), 8).vcount == 4**8 == MAX_PRODUCT_VERTICES
+    assert len(shapes) == 7
+    monkeypatch.undo()
+    # K(10) x K(10) has 2^20 vertices, so 128 GiB of rows: refused before any row
+    k10 = kneser(10)
+    monkeypatch.setattr(graphs_module, "_empty_adj", _no_rows)
+    with pytest.raises(UnsupportedSizeError, match="over 65536"):
+        hamming_product(k10, k10)
+
+
 def test_fiber_bound():
     for g, h in [(kneser(2), kneser(3)), (shift_graph(4), kneser(2))]:
         ab = max_independent_set(hamming_product(g, h)).alpha_bar

@@ -25,11 +25,13 @@ from hatlab.blockers import (
 )
 from hatlab.game import enumerate_family, tuple_from_index, tuple_index, winning_set
 from hatlab.graphs import (
+    MAX_LANE_DEGREE,
     Graph,
     _cover_rest,
     _min_degree_greedy,
     _mis_search,
     _mis_size,
+    _peel,
     graph_from_bytes,
     graph_from_text,
     graph_to_bytes,
@@ -45,6 +47,7 @@ from hatlab.graphs import (
 )
 
 from blocker_reference import brute_force_is_blocker
+from mis_search_reference import reference_mis_search
 
 # derandomized and bounded, so tier-1 stays deterministic and fast
 bounded = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -243,6 +246,38 @@ def test_mis_size_matches_mis_search_and_branches_both_ways():
 
     check()
     assert rules["binary"] > 0 and rules["multiway"] > 0, rules
+
+
+def test_mis_search_walks_the_bitmask_reference_tree():
+    # The lane search must return the bitmask search's set and node count,
+    # not just its size. Dense graphs on full pools put the peeled core over
+    # the lane limit, sparser ones or thinner pools under it.
+    sides = Counter()
+
+    sparse = st.tuples(st.integers(1, 100),
+                       st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.95]),
+                       st.sampled_from([0.5, 0.9, 1.0]))
+    dense = st.tuples(st.integers(130, 150), st.sampled_from([0.9, 0.95]),
+                      st.sampled_from([0.9, 1.0]))
+
+    @settings(bounded, max_examples=100)
+    @given(sparse | dense, st.integers(0, 1 << 32))
+    def check(shape, seed):
+        n, p, keep = shape
+        rng = random.Random(seed)
+        g = random_graph(n, p, seed)
+        loops = tuple(rng.random() < 0.1 for _ in range(n))
+        g = Graph(n, g.adj, loops, g.label)
+        pool = sum(1 << v for v in range(n) if rng.random() < keep) & g.eligible
+        got = _mis_search(g.adj, pool)
+        assert got == reference_mis_search(g.adj, pool)
+        core = _peel(g.adj, pool)[0]
+        if got[2] > 1:
+            over = any((g.adj[v] & core).bit_count() > MAX_LANE_DEGREE for v in range(n))
+            sides["bitmask" if over else "lanes"] += 1
+
+    check()
+    assert sides["bitmask"] > 0 and sides["lanes"] > 0, sides
 
 
 # --- certification oracle against the brute force ---------------------------
