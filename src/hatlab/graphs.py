@@ -349,17 +349,16 @@ def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
         nodes += 1
         lanes = deg.to_bytes(width, "little")
         start = 0
-        peeled = False
         while True:
             v = lanes.find(b"\x80", start)
             w = lanes.find(b"\x81", start)
             if w >= 0 and not 0 <= v < w:
                 v = w
             if v < 0:
-                if not peeled:
+                # start > 0 exactly when this pass took a vertex: pass again
+                if not start:
                     break
                 start = 0
-                peeled = False
                 continue
             # degree 0 or 1: take the vertex, drop it and its neighbour
             low = 1 << v
@@ -372,7 +371,6 @@ def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
                 deg -= drop[d.bit_length() - 1]
             lanes = deg.to_bytes(width, "little")
             start = v + 1
-            peeled = True
         if not settled(p, size, chosen):
             lane_branch(lanes.index(max(lanes)), p, deg, size, chosen)
 

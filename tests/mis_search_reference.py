@@ -1,10 +1,10 @@
-"""Reference bitmask search for the tests: the exact max independent set
-search as it was before the byte-lane degree vector.
+"""Reference exact max independent set search for the tests.
 
-Every node runs a bitmask peel and branches on the vertex it picks. The
-library's `_mis_search` must walk the same tree, so the two return the same
-size, set and node count. The greedy incumbent and the clique cover are the
-library's own, which the lane search does not change.
+Every node runs a bitmask peel and branches on the vertex it picks, with no
+byte-lane degree vector. The library's `_mis_search` must walk the same
+tree, so the two return the same size, set and node count. The greedy
+incumbent and the clique cover are the library's own, which the lane search
+shares.
 """
 
 from __future__ import annotations

@@ -415,7 +415,7 @@ PINNED_SEARCH_TREES = [
     ("gnp:80:0.1:2", 29, 1649, "dc0474089eddc7513a44b05dbaff50bbcebfa22cccaf34dcdf35571795299241"),
     ("gnp:80:0.1:3", 28, 727, "e0e5f006f1121e896a97e681b8440559ee911b7c1e593e73ab741d304a3110ab"),
     ("gnp:80:0.1:4", 27, 1273, "6429be7c3d1159ac494f5e94e0d9ccc6ef6f80e5f649bdd451323750dc0d79db"),
-    # dense: the peeled core has maximum degree 142
+    # dense: the peeled core has maximum degree 142, over MAX_LANE_DEGREE
     ("gnp:150:0.9:2", 4, 289, "76629c2cf8108a3b6c34fd0a2af66bd9c6e235be78ab99d01a2b0d59ea2d4b75"),
 ]
 
@@ -551,9 +551,10 @@ def test_text_vertex_out_of_range_rejected(text):
         graph_from_text(text)
 
 
-@pytest.mark.parametrize("vcount", [MAX_PRODUCT_VERTICES + 1, 1 << 70, -1])
+@pytest.mark.parametrize("vcount", [MAX_PRODUCT_VERTICES + 1, (1 << 20) + 1, 1 << 70, -1])
 def test_text_vertex_count_out_of_range_rejected(vcount):
-    # checked before the adjacency list of vcount entries is allocated
+    # checked before the adjacency list of vcount entries is allocated;
+    # 2^20 + 1 was the first count refused under the old 2^20 cap
     with pytest.raises(ValueError, match="vertex count"):
         graph_from_text(f"{vcount}\n")
 
