@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -178,6 +179,40 @@ def test_families_sorted_and_balanced():
             fam = enumerate_family(kind, n)
             assert list(fam.sets) == sorted(fam.sets)
             assert all(w.bit_count() == 1 << (n - 1) for w in fam.sets)
+
+
+# sha256 of the members in hex, comma-joined, recorded from the per-point
+# constructors: every closed-form member must give the same sets
+FAMILY_DIGESTS = [
+    ("dictator", 1, "5f6f0f3ebb5eb25c82b351471f52cb59cee3faac6ea9819faf63fee6d92b8326"),
+    ("dictator", 2, "e72fcb48a1b493aa0b3d34815bc00a287dde516b91f1d6a7ff3535673c858997"),
+    ("dictator", 3, "c575df77fa347e4b89d006819e55c1148fe92e040b8ec8d64af221e8743a7fee"),
+    ("dictator", 4, "ffe8e5b60acc842a52abc9a147cba629007fbc345cbb9aa84e13beeed1875c99"),
+    ("dictator", 5, "a9050096e5ef5207ffe40a0766d604081f562652d10099fdf819a32e9833ba71"),
+    ("dictator", 6, "ca9b73bc122a4d48dc1e6b1e293110622ece04177e4b3e223cc7349733577e58"),
+    ("dictator", 7, "a4ad1ad57c00b4f96f676c1b23246250da80a0b0dd4b7bbbab837231e9fdd3a7"),
+    ("dictator", 8, "504699f042591b210d01e9381b21b5d02ab52a8a802847af094dd3b4a1732623"),
+    ("dictator", 9, "05c74f9d0a1f1aa9de89ad8cf864b4aa9aeb211d161494102014af91c9f44d5d"),
+    ("dictator", 10, "c271a0b1f45f14c7b02151acbb8dafcdfc373b3ccd54ab8cb0dc1b35b93575f7"),
+    ("dictator", 11, "bc06d78d893519c229cbf641f4e01fd25a806ff9274949e547164a914fc49fc4"),
+    ("dictator", 12, "ed355ec2b55753f139e4056e0f3cb6ec0f19c39720f8fd85da241a5a719c57f9"),
+    ("dictator", 13, "b328baf67a0590a5eb4a2d3aa206f77974d08934aeabbdc390777ccbbac4c1e6"),
+    ("dictator", 14, "b7bbcbb4b0b7dbcc6257c9201c38936d94aae3fc6ea2a2e445feffefbd59852d"),
+    ("dictator", 15, "ff1bd8e1c74a8ec7f3ae42b7c366692ac327d08b7fd0c7ddd5278018c27286cc"),
+    ("dictator", 16, "445e2c41c793ab712e9532f1f0900ebd6693e6e20180b2c55b3a37bac890256b"),
+    ("monotone", 1, "5f6f0f3ebb5eb25c82b351471f52cb59cee3faac6ea9819faf63fee6d92b8326"),
+    ("monotone", 2, "e72fcb48a1b493aa0b3d34815bc00a287dde516b91f1d6a7ff3535673c858997"),
+    ("monotone", 3, "ed1ce704bcbdc114d89b9e2243b5d9eb54421e75121eae32cf8e1ec8217a0a74"),
+    ("monotone", 4, "c016710bd7f49e5bb4b76b2f91371c651265e24ca35c98ab3deb675f3c4f0d51"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,n,digest", FAMILY_DIGESTS, ids=[f"{k}-{n}" for k, n, _ in FAMILY_DIGESTS]
+)
+def test_family_members_pinned(kind, n, digest):
+    sets = enumerate_family(kind, n).sets
+    assert hashlib.sha256(",".join(map(hex, sets)).encode()).hexdigest() == digest
 
 
 # --- winning sets -----------------------------------------------------------

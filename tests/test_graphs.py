@@ -282,6 +282,148 @@ def test_random_graph_golden_and_reproducible():
     assert random_graph(8, 0.5, 43).adj != g.adj
 
 
+# --- constructor pins -------------------------------------------------------
+
+
+def _kneser_power(n: int, t: int) -> Graph:
+    return hamming_power(kneser(n), t)
+
+
+# (builder, label, sha256 of graph_to_bytes), recorded from the per-bit
+# constructors: every closed-form row must give the same bytes and label
+CONSTRUCTOR_DIGESTS = [
+    (lambda: kneser(1), "kneser(1)",
+     "bea0faae3f4728d7970111db5c1e1876495936ed0fc302a1b96829e98776ddef"),
+    (lambda: kneser(2), "kneser(2)",
+     "f866eefa0bbc16cbe714a7dec4fd40ae59569d486488b5479234c7c3ba99bb57"),
+    (lambda: kneser(3), "kneser(3)",
+     "7daaf674738a11e8de93143d64aeeab0ceb90c6e627a7dceb92a405d9b1460a6"),
+    (lambda: kneser(4), "kneser(4)",
+     "36fc1be71803090dd8378f222e2473e1c16d5e22af072566d2c5da1560455684"),
+    (lambda: kneser(5), "kneser(5)",
+     "843db0a5714c9501a3913323c6ddcdfc4ff48a7b97a0cd25628b127f09159e3b"),
+    (lambda: kneser(6), "kneser(6)",
+     "7374e92c2cad79a8751551f978652ba2f32ca1ed0fa29c671787412b7a845f9f"),
+    (lambda: kneser(7), "kneser(7)",
+     "9da14d1792a8c343f0810b096857707a3f1f03ee643a4efd446c8fd620598c6d"),
+    (lambda: kneser(8), "kneser(8)",
+     "ab5018156c908a618844cab9a90c9c53b957fcffc1553133d43a37cc89feb9e3"),
+    (lambda: kneser(9), "kneser(9)",
+     "249b219a2bd535dbad68989380306aea92c255d8a59562cbee647e845e3c2705"),
+    (lambda: kneser(10), "kneser(10)",
+     "97d767439a4e95234ef457de5e83d925338270ed4dd9e5c9aeb743553a1cbb42"),
+    (lambda: kneser(11), "kneser(11)",
+     "ed0d59390eba36319474480116e6028358624bf824b82894a91cfa143ee2df79"),
+    (lambda: kneser(12), "kneser(12)",
+     "b5a0f33ecc5af6a5ee029e8855a12d804ffda3622f903892fdf325dc00df393a"),
+    (lambda: kneser(13), "kneser(13)",
+     "ccaef3a8b8d2ec21711ae42ae78b8ddd46dd84862f1a441730099ec51dc419e1"),
+    (lambda: shift_graph(2), "shift(2)",
+     "90d2508ad0a2278784d0de6ad7166f075ad2a071ae79208a83971a657a2db592"),
+    (lambda: shift_graph(3), "shift(3)",
+     "69acb5d3ad11f56bb448e5309db2541f21ca9ac41776f8c78b06698c7d469ff0"),
+    (lambda: shift_graph(4), "shift(4)",
+     "1a417fb795037c5e4595c22a0b5f19ab9270dc7f7046a932ecff7f731822af8c"),
+    (lambda: shift_graph(5), "shift(5)",
+     "3632fd2469bdec318ff49189d958f1c017489d13eb6f70a613597ae3669d267b"),
+    (lambda: shift_graph(6), "shift(6)",
+     "40a47134a0b4259edfaf9f8f26a4af0a8e9defaaaa8227fa9865d1d7fcc48b45"),
+    (lambda: shift_graph(7), "shift(7)",
+     "13dba067de3db5c8c44e4c005a8219b6279be65061a5aaf1c2cbb2bb29be0323"),
+    (lambda: shift_graph(8), "shift(8)",
+     "db27b89e80b7b9c839c9780c52118dadbac560653a5dd95e75ff9f32b82a5ca3"),
+    (lambda: shift_graph(9), "shift(9)",
+     "acfee32db5d8d764b84308d33db89fbb06b553972a74094884b5380569915aa9"),
+    (lambda: shift_graph(10), "shift(10)",
+     "5acd3d2123a0edbf72e166b85003c09a12f92fdeb0a246a585420178e4ffa985"),
+    (lambda: shift_graph(11), "shift(11)",
+     "acc97d4cdf1dd2bcf1d4890f5cf2ee0b5f7b39a2763fa2286de24b12103933e5"),
+    (lambda: shift_graph(12), "shift(12)",
+     "d789b5168663ad4bdfef9e215480957e64b9852a280c75d14610b274da0b7031"),
+    (lambda: shift_graph(13), "shift(13)",
+     "ad6d2278417ebcd42f13b9b3c0522f05832b6a9db8272e340a1e513c20392191"),
+    (lambda: shift_graph(14), "shift(14)",
+     "9645c2419075e442a5f9e5b90179db20376ea5723c0c4e1c7a6bae66f1476358"),
+    (lambda: shift_graph(15), "shift(15)",
+     "a1169ffd98f0f2e24df6fba687918bed907e02c1724c4ed387f4452fd7f2be7b"),
+    (lambda: shift_graph(16), "shift(16)",
+     "a401b59670717189b9c59f8a3eaf15eb3bdb13afdfb6f4069e250fef9cb02b62"),
+    (lambda: shift_graph(31), "shift(31)",
+     "b87be6ba534ddfff1f2767c3bc7f917aac69021f75ad4c24a02b6208e7898e4d"),
+    (lambda: shift_graph(64), "shift(64)",
+     "af2b9dad4025119b72b41d6ee6dd2c9ed9e2adfa36dc2b85d01830ea907f6d29"),
+    (lambda: _kneser_power(1, 2), "power(kneser(1),2)",
+     "c64ab31f6af3289dd934d2f71c7e3dbaa4ce057d6122f318d4ea72e46e06938c"),
+    (lambda: _kneser_power(1, 5), "power(kneser(1),5)",
+     "6203076d6e642e50385af89b05f6b5c48460daff78b781b5b13633a98fbd3cc4"),
+    (lambda: _kneser_power(1, 12), "power(kneser(1),12)",
+     "9b95804f1b96c53f356efd608e805bc4564a662bfd4653664e6c0d1dab1aaf9d"),
+    (lambda: _kneser_power(2, 2), "power(kneser(2),2)",
+     "676b6ed14d982a1a92ed7c680db4076c6c9847a551e1b79c0170f8262c955270"),
+    (lambda: _kneser_power(2, 3), "power(kneser(2),3)",
+     "8f73f964b9316e754fbc05475a547ca144593932f533c97862730e93eaccd08e"),
+    (lambda: _kneser_power(2, 4), "power(kneser(2),4)",
+     "149f74277a5910d246772bf60d81a42682b3e0748a2dab73d5a8cc30b4dd56fb"),
+    (lambda: _kneser_power(2, 5), "power(kneser(2),5)",
+     "ac1c38c70a427d72e0dcd4b9668fa8d7c8e8ac6c6351306efdac3177d924cacf"),
+    (lambda: _kneser_power(2, 6), "power(kneser(2),6)",
+     "3d353f1618c0cbdf0c293191f305888bfedf73f6b364fdfb39501383f8278bd8"),
+    (lambda: _kneser_power(2, 7), "power(kneser(2),7)",
+     "e7efef3a43fa4794f011adc5a8854aba491c1c0a25e3c91f74d90b2eb5d99eab"),
+    (lambda: _kneser_power(3, 2), "power(kneser(3),2)",
+     "a560ce3b35b17712b5a44a47e18af50b86cf508615ffd1a2283c206c6881b154"),
+    (lambda: _kneser_power(3, 3), "power(kneser(3),3)",
+     "68b5cd9a2b9068f28f4cdfa4d027946c6d101237f7dc56e6be02775bd50e4480"),
+    (lambda: _kneser_power(3, 4), "power(kneser(3),4)",
+     "894b51ef517ac408b6d2466f92fbca3b9f459ac2ef55d4582944f8c1afa2092b"),
+    (lambda: _kneser_power(4, 2), "power(kneser(4),2)",
+     "6d57b18f0cad21c6139abffe7b474024878d8815ef613fa2aaa6bf2fe5b6f561"),
+    (lambda: _kneser_power(4, 3), "power(kneser(4),3)",
+     "74bad7950bb9dee8da3a1195817bd52427b7fd9dfb20a2316f305860e51a2e41"),
+    (lambda: _kneser_power(5, 2), "power(kneser(5),2)",
+     "d82efdde9735be4153e5aa44665331f08c6818ee6ed242b69f3e9556e96510aa"),
+    (lambda: _kneser_power(6, 2), "power(kneser(6),2)",
+     "2615feba394c1519b8a3128e5c1328622b9f4b13de6d8c1682d875d50329fc52"),
+    (lambda: hamming_product(kneser(3), shift_graph(3)), "product(kneser(3),shift(3))",
+     "dd182d174239a441f7db60121bfebe73002c32dde6acef01116dab08f0ff3d39"),
+    (lambda: hamming_product(shift_graph(4), kneser(2)), "product(shift(4),kneser(2))",
+     "6a349bfaa34e05db154eac0f0444e1948d416fc282ca0d5b0fc8175b172f3ad7"),
+    (lambda: hamming_product(kneser(4), kneser(3)), "product(kneser(4),kneser(3))",
+     "6b1c679e268d675806a88c1457a0e63346b9c143b85ccbdc22667940c2890eec"),
+    (lambda: hamming_product(kneser(1), kneser(1)), "product(kneser(1),kneser(1))",
+     "c64ab31f6af3289dd934d2f71c7e3dbaa4ce057d6122f318d4ea72e46e06938c"),
+    (lambda: hamming_product(edgeless_graph(0), kneser(3)), "product(edgeless(0),kneser(3))",
+     "7fb1e6fd9f8ad998d621a79f43ed0b627ad6477db68e51a19d6e90d139534d34"),
+    (lambda: hamming_product(kneser(3), edgeless_graph(0)), "product(kneser(3),edgeless(0))",
+     "7fb1e6fd9f8ad998d621a79f43ed0b627ad6477db68e51a19d6e90d139534d34"),
+    (lambda: hamming_product(edgeless_graph(1), kneser(2)), "product(edgeless(1),kneser(2))",
+     "f866eefa0bbc16cbe714a7dec4fd40ae59569d486488b5479234c7c3ba99bb57"),
+    (lambda: hamming_product(complete_graph(3), kneser(2)), "product(complete(3),kneser(2))",
+     "50f965c33c200369770250bdab2d0bf7f98aeb3fb0324f7a722570ab800f09ae"),
+    (lambda: hamming_product(edgeless_graph(3), complete_graph(4)), "product(edgeless(3),complete(4))",
+     "34a935f7ef9af5a24aac13a751fc98f91ea8632ceef7ab2a7d566f51d88a54ff"),
+    (lambda: hamming_product(random_graph(10, 0.5, 1), kneser(2)), "product(gnp(10,0.5,1),kneser(2))",
+     "1130affff46c7832970f36c02d6962dafa0618bbd38905d08f71b73335056e3c"),
+    (lambda: hamming_product(kneser(2), random_graph(9, 0.3, 4)), "product(kneser(2),gnp(9,0.3,4))",
+     "31c8c1310e8c27331d6f51d9b754ab2a3b5afb92bcf33b223bbb43524ed0c781"),
+    (lambda: hamming_power(edgeless_graph(1), 5), "power(edgeless(1),5)",
+     "7150abfcd0fb17c1097a8e475bd7af0973093f14224c51eed0726f680c1b9033"),
+    (lambda: hamming_power(complete_graph(1), 1), "complete(1)",
+     "7150abfcd0fb17c1097a8e475bd7af0973093f14224c51eed0726f680c1b9033"),
+    (lambda: hamming_power(edgeless_graph(0), 3), "power(edgeless(0),3)",
+     "7fb1e6fd9f8ad998d621a79f43ed0b627ad6477db68e51a19d6e90d139534d34"),
+]
+
+
+@pytest.mark.parametrize(
+    "build,label,digest", CONSTRUCTOR_DIGESTS, ids=[r[1] for r in CONSTRUCTOR_DIGESTS]
+)
+def test_constructor_bytes_pinned(build, label, digest):
+    g = build()
+    assert g.label == label
+    assert hashlib.sha256(graph_to_bytes(g)).hexdigest() == digest
+
+
 # --- MIS --------------------------------------------------------------------
 
 
