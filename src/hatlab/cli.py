@@ -55,6 +55,10 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_STALL = 4
 
+# Python prints an int of at most 4300 decimal digits by default
+MAX_PRINTED_DIGITS = 4300
+_UNPRINTABLE = 10**MAX_PRINTED_DIGITS
+
 FAMILY_ALIASES = {
     "dict": "dictator",
     "dictator": "dictator",
@@ -189,7 +193,17 @@ def _cmd_alphastar(args: argparse.Namespace) -> tuple[dict, int | None, int]:
 
 def _cmd_blocker(args: argparse.Namespace) -> tuple[dict, int | None, int]:
     if args.blocker_cmd == "bound":
-        val = decrement_bound(args.k, parse_beta(args.beta))
+        beta = parse_beta(args.beta)
+        # the denominator is at least 2^(2k+2): an unprintable one is refused
+        # before the bound is built, which for k = 10^11 would take 25 GB
+        val = None
+        if 2 * args.k + 2 < _UNPRINTABLE.bit_length():
+            val = decrement_bound(args.k, beta)
+        if val is None or val.denominator >= _UNPRINTABLE:
+            raise UnsupportedSizeError(
+                f"the bound for k={args.k} has a denominator of more than "
+                f"{MAX_PRINTED_DIGITS} digits, the most an integer prints with"
+            )
         return dict(frac_fields(val), k=args.k), None, EXIT_OK
     if args.blocker_cmd == "build":
         family = construct_blockers(

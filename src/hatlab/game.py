@@ -90,37 +90,23 @@ class WinningFamily:
 
 
 def _dictator_sets(n: int) -> list[int]:
-    sets = []
-    for i in range(n):
-        m = 0
-        for x in range(1 << n):
-            if x >> i & 1:
-                m |= 1 << x
-        sets.append(m)
-    return sets
+    # member i holds the points with bit i set: written high point first,
+    # runs of 2^i ones and 2^i zeros
+    return [
+        int(("1" * (1 << i) + "0" * (1 << i)) * (1 << n >> (i + 1)), 2) for i in range(n)
+    ]
 
 
 def _balanced_monotone_sets(n: int) -> list[int]:
-    size = 1 << n
-    half = size // 2
-    out = []
-    for s in range(1 << size):
-        if s.bit_count() != half:
-            continue
-        closed = True
-        for p in range(size):
-            if not (s >> p & 1):
-                continue
-            for b in range(n):
-                q = p | (1 << b)
-                if not (s >> q & 1):
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            out.append(s)
-    return out
+    # s is an up-set iff, for each coordinate b, shifting its points with bit
+    # b clear (s & ~dictator b) up by 2^b sets that bit and stays inside s
+    half = 1 << (n - 1)
+    dictators = list(enumerate(_dictator_sets(n)))
+    return [
+        s
+        for s in range(1 << (1 << n))
+        if s.bit_count() == half and not any((s & ~d) << (1 << b) & ~s for b, d in dictators)
+    ]
 
 
 @lru_cache(maxsize=None)

@@ -71,22 +71,17 @@ def kneser(n: int) -> Graph:
         raise ValueError(f"need n >= 1, got n={n}")
     if n > MAX_KNESER_N:
         raise UnsupportedSizeError(f"kneser supports 1 <= n <= {MAX_KNESER_N}, got {n}")
+    # subs[c] has bit s set for every submask s of c, built by doubling: the
+    # submasks of c | h, for h above c's top bit, are those of c and each plus h
+    subs = [1]
+    for b in range(n):
+        subs += [s | s << (1 << b) for s in subs]
+    # the neighbours of x are the submasks of its complement; only x = 0 is
+    # one of them, and that is its self-loop
+    adj = subs[::-1]
+    adj[0] ^= 1
     size = 1 << n
-    full = size - 1
-    adj = _empty_adj(size)
-    loop = [False] * size
-    for x in range(size):
-        # neighbours of x are exactly the submasks of its complement
-        comp = full ^ x
-        sub = comp
-        while True:
-            if sub != x:
-                adj[x] |= 1 << sub
-            if sub == 0:
-                break
-            sub = (sub - 1) & comp
-    loop[0] = True
-    return Graph(size, tuple(adj), tuple(loop), f"kneser({n})")
+    return Graph(size, tuple(adj), (True,) + (False,) * (size - 1), f"kneser({n})")
 
 
 def hamming_product(g: Graph, h: Graph) -> Graph:
@@ -96,25 +91,19 @@ def hamming_product(g: Graph, h: Graph) -> Graph:
         raise UnsupportedSizeError(
             f"product would have {vcount} vertices, over {MAX_PRODUCT_VERTICES}"
         )
-    adj = _empty_adj(vcount)
-    loop = [False] * vcount
     hv = h.vcount
+    adj = _empty_adj(vcount)
     for x in range(g.vcount):
+        # row (x, v) is h's row v in fiber x plus bit (y, v) for each neighbour y of x
+        fiber = 0
+        m = g.adj[x]
+        while m:
+            low = m & -m
+            fiber |= 1 << (low.bit_length() - 1) * hv
+            m ^= low
         base = x * hv
-        gx = g.adj[x]
-        for v in range(hv):
-            u = base + v
-            loop[u] = g.self_loop[x] or h.self_loop[v]
-            m = h.adj[v]
-            while m:
-                w = (m & -m).bit_length() - 1
-                adj[u] |= 1 << (base + w)
-                m &= m - 1
-            m = gx
-            while m:
-                y = (m & -m).bit_length() - 1
-                adj[u] |= 1 << (y * hv + v)
-                m &= m - 1
+        adj[base : base + hv] = [a << base | fiber << v for v, a in enumerate(h.adj)]
+    loop = [gl or hl for gl in g.self_loop for hl in h.self_loop]
     return Graph(vcount, tuple(adj), tuple(loop), f"product({g.label},{h.label})")
 
 
@@ -128,7 +117,8 @@ def hamming_power(g: Graph, t: int) -> Graph:
             f"power would have {g.vcount}^{t} vertices, over {MAX_PRODUCT_VERTICES}"
         )
     out = g
-    for _ in range(t - 1):
+    # a graph of at most one vertex is its own power
+    for _ in range(t - 1 if g.vcount > 1 else 0):
         out = hamming_product(out, g)
     if t > 1:
         out = Graph(out.vcount, out.adj, out.self_loop, f"power({g.label},{t})")
@@ -145,18 +135,14 @@ def shift_graph(m: int) -> Graph:
         raise ValueError(f"need m >= 1, got m={m}")
     if not 2 <= m <= MAX_SHIFT_M:
         raise UnsupportedSizeError(f"shift_graph supports 2 <= m <= {MAX_SHIFT_M}, got {m}")
+    # (i,j) meets (j,k) for k != i and (h,i) for h != j: the row is block j
+    # and column i, less their shared bit (j,i)
+    block = (1 << m) - 1
+    column = sum(1 << h * m for h in range(m))
     vcount = m * m
-    adj = _empty_adj(vcount)
-    for i in range(m):
-        for j in range(m):
-            u = i * m + j
-            for k in range(m):
-                if k == i:
-                    continue
-                v = j * m + k
-                if v != u:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
+    adj = [
+        (block << j * m | column << i) & ~(1 << (j * m + i)) for i in range(m) for j in range(m)
+    ]
     return Graph(vcount, tuple(adj), (False,) * vcount, f"shift({m})")
 
 
@@ -471,29 +457,30 @@ def _mis_size(adj: tuple[int, ...], pool: int) -> int:
     use `_cover_rest`. This one runs `_peel` at every node, without
     `_mis_search`'s lane degree vector: its pools are small and peel few
     vertices, so the lanes cost more to set up than they save (on the
-    alpha** draws, `K(3)^2` went from 0.08 to 0.12 s). The root is peeled
-    first, and the incumbent is the peeled vertices plus `_min_degree_greedy`
-    on the core they leave: run on the raw pool, the greedy costs more than
-    it saves.
+    alpha** draws, `K(3)^2` went from 0.08 to 0.12 s). The root is one
+    `_mis_size_node` call with no incumbent yet.
     """
-    core, taken, _, _ = _peel(adj, pool)
-    size = taken.bit_count()
-    return _mis_size_node(adj, core, size, size + _min_degree_greedy(adj, core)[0])
+    return _mis_size_node(adj, pool, 0, None)
 
 
-def _mis_size_node(adj: tuple[int, ...], p: int, size: int, best: int) -> int:
+def _mis_size_node(adj: tuple[int, ...], p: int, size: int, best: int | None) -> int:
     """One node of `_mis_size`: the best size found so far, this subtree included.
 
-    It runs `_peel` as `_mis_search` does. The greedy clique cover then takes
-    `best - size` cliques; an improving set needs a vertex of what they leave
-    over, B (`_cover_rest`). Empty B prunes. When B has at most two vertices,
-    the node branches once per vertex of B, each child dropping the vertices
-    branched on before it: the child that excludes all of B could not
-    improve, so this never makes more children than a binary branch. A
-    larger B gets the binary include/exclude branch on `_peel`'s vertex.
+    It runs `_peel` as `_mis_search` does. At the root (best is None) the
+    incumbent is then the peeled vertices plus `_min_degree_greedy` on the
+    core they leave: run on the raw pool, the greedy costs more than it
+    saves. The greedy clique cover then takes `best - size` cliques; an
+    improving set needs a vertex of what they leave over, B (`_cover_rest`).
+    Empty B prunes. When B has at most two vertices, the node branches once
+    per vertex of B, each child dropping the vertices branched on before it:
+    the child that excludes all of B could not improve, so this never makes
+    more children than a binary branch. A larger B gets the binary
+    include/exclude branch on `_peel`'s vertex.
     """
     p, taken, branch, branch_adj = _peel(adj, p)
     size += taken.bit_count()
+    if best is None:
+        best = size + _min_degree_greedy(adj, p)[0]
     if p == 0:
         return size if size > best else best
     rest = _cover_rest(adj, p, best - size)

@@ -82,6 +82,19 @@ def test_alpha_power_matches_solve():
     assert a["result"]["value"] == s["result"]["value"]
 
 
+def test_alpha_power_of_one_vertex_is_the_vertex():
+    # this ran t - 1 products and had not finished after 20 s
+    start = time.perf_counter()
+    res = run_cli("alpha", "--graph", "edgeless:1", "--power", "1000000")
+    assert res.returncode == 0, res.stderr
+    assert time.perf_counter() - start < 10
+    assert res.stdout == (
+        '{"command":"alpha","params":{"graph":"edgeless:1","power":1000000},'
+        '"result":{"alpha":1,"decimal":"1.0","label":"power(edgeless(1),1000000)",'
+        '"nodes_explored":1,"value":"1/1","vcount":1},"seed":null,"version":"0.1.0"}\n'
+    )
+
+
 # --- alphastar --------------------------------------------------------------
 
 
@@ -110,6 +123,19 @@ def test_alphastar_mc_reports_stderr():
 def test_blocker_bound():
     doc = payload("blocker", "bound", "--k", "2", "--beta", "1")
     assert doc["result"]["value"] == "1/128"
+
+
+@pytest.mark.parametrize(
+    "k,beta",
+    [("8000", "1"), ("7000", "1/1" + "0" * 400), ("100000000000", "1")],
+    ids=["2^(2k+2)-unprintable", "denominator-unprintable", "k-1e11"],
+)
+def test_blocker_bound_past_the_printable_digits_exits_3(k, beta):
+    # the first two exited 2 from the int-to-str limit; k = 10^11 raised MemoryError
+    res = run_cli("blocker", "bound", "--k", k, "--beta", beta)
+    assert res.returncode == 3, res.stderr
+    assert res.stdout == ""
+    assert "4300 digits" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_blocker_build_and_verify_round_trip(tmp_path):

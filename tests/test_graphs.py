@@ -171,6 +171,15 @@ def _no_rows(n):
     raise AssertionError(f"{n} rows were allocated")
 
 
+def test_power_of_at_most_one_vertex_builds_no_product(monkeypatch):
+    # a t-deep loop of products used to run, however large t was
+    monkeypatch.setattr(graphs_module, "hamming_product", _no_product)
+    g = hamming_power(edgeless_graph(0), 10**9)
+    assert (g.vcount, g.adj, g.label) == (0, (), "power(edgeless(0),1000000000)")
+    g = hamming_power(Graph(1, (0,), (True,), "looped(1)"), 10**9)
+    assert (g.vcount, g.self_loop, g.label) == (1, (True,), "power(looped(1),1000000000)")
+
+
 @pytest.mark.parametrize(
     "base,t", [(2, 9), (5, 4), (2, 10**12)], ids=["kneser2^9", "kneser5^4", "kneser2^huge"]
 )
