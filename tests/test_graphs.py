@@ -431,6 +431,8 @@ def test_constructor_bytes_pinned(build, label, digest):
     g = build()
     assert g.label == label
     assert hashlib.sha256(graph_to_bytes(g)).hexdigest() == digest
+    # the bytes fold self-loops into the diagonal, which adj must leave clear
+    assert not any(row >> v & 1 for v, row in enumerate(g.adj))
 
 
 # --- MIS --------------------------------------------------------------------
