@@ -537,6 +537,23 @@ PINNED_WITNESSES = [
      "d6e97626a0139a5f8603b1af1c843fb4517e8a041aefedd7e235726bad755e28"),
     (("local_search_p", 4, 3, "dictator", 0, 2), "637/4096", "local-search", 12,
      "b84468cc1b73af5ba65634297dd362417efb04fe26fc64fea33b98f19c42e215"),
+    # more players and the other kinds, recorded on the column-mask ascent that
+    # the digit strings of local_search_p replaced; at (6, 2) and (10, 1) each
+    # player's entries step through the tuples with a stride of their own
+    (("local_search_p", 4, 4, "dictator", 0, 1), "5891/32768", "local-search", 16,
+     "2ad77e4aedd1d61d16f3794a9dc1dd1dcb3834a970fdba2024903d6e14a75b8f"),
+    (("local_search_p", 5, 3, "dictator", 0, 1), "1651/16384", "local-search", 8,
+     "3d2e6b62ad40e36d1c6d552e6e0d22c70dfd8fd3b3ac62b33a49d62b20061afe"),
+    (("local_search_p", 3, 5, "dictator", 0, 1), "8495/32768", "local-search", 17,
+     "bce2af439fb73a50518206837995a71af31b4105db637268ce1676e660518ef0"),
+    (("local_search_p", 3, 4, "intersecting", 0, 2), "995/4096", "local-search", 22,
+     "7a2bcb032239fbfa8a452ecadee8307324e7bdaf2717ad9ab92736a2b6591596"),
+    (("local_search_p", 2, 4, "monotone", 3, 4), "89/256", "local-search", 18,
+     "09ff6f28b6269215766723d1f3196eff78e3cec84403503eaae7d236c5df64ec"),
+    (("local_search_p", 6, 2, "dictator", 0, 1), "81/2048", "local-search", 3,
+     "f807b35ad7b68eef73ab28a447bcd880cc3f035829ecc193170f873322446197"),
+    (("local_search_p", 10, 1, "dictator", 0, 2), "1/1024", "local-search", 2,
+     "7b5881fa2a793e9458c3c025499281aaebd102a8cd2bc4ae60536f514e9e8173"),
 ]
 
 
