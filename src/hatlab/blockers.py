@@ -552,6 +552,10 @@ def family_from_json(text: str) -> BlockerFamily:
         tuples = doc["product"].get("tuples") if isinstance(doc["product"], dict) else None
         if t != 2 or not isinstance(tuples, list):
             raise ValueError("a product family needs t=2 and a list of product tuples")
+        base = doc["product"].get("base")
+        if base != "complement-pairs":
+            # the only base family_to_json writes and the tuples are decoded over
+            raise ValueError(f"a product family's base must be 'complement-pairs', got {base!r}")
         for tp in tuples:
             _index_list(tp, n, "a product tuple")
             # a repeated point would give each product blocker more than k points

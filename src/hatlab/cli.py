@@ -110,6 +110,8 @@ def parse_graph_spec(spec: str, power: int = 1) -> Graph:
     head, _, rest = spec.partition(":")
     args = rest.split(":") if rest else []
     try:
+        if len(args) != (3 if head == "gnp" else 1):
+            raise ValueError(f"wrong field count in {spec!r}")
         if head == "kneser":
             g = kneser(int(args[0]))
         elif head == "shift":

@@ -9,11 +9,9 @@ lower bound.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import and_
 
 from .errors import MalformedPartitionError, UnsupportedSizeError
 from .game import (
@@ -21,10 +19,9 @@ from .game import (
     WinningFamily,
     constant_strategy,
     enumerate_family,
+    random_strategy,
     stream_rng,
     success_probability,
-    tuple_from_index,
-    visible_index,
     winning_set,
 )
 
@@ -320,85 +317,6 @@ def exact_p(
     )
 
 
-class _Points(dict):
-    """Memoised bit positions of a mask: points[w] lists the points of w."""
-
-    def __missing__(self, w: int) -> list[int]:
-        hit = self[w] = [y for y in range(w.bit_length()) if w >> y & 1]
-        return hit
-
-
-def _links(t: int, n: int) -> list[list[tuple[tuple[int, int, int, int], ...]]]:
-    """links[i][vis]: for each other player k, (k, k's visible index with x_i = 0,
-    the shift of x_i inside it, the bit of x_k). That is where entry (i, vis)
-    sits in player i's columns over x_k."""
-    links = []
-    for i in range(t):
-        row = []
-        for vis in range(1 << (n * (t - 1))):
-            seen = tuple_from_index(vis, n, t - 1)
-            xs = seen[:i] + (0,) + seen[i:]
-            row.append(tuple(
-                (k, visible_index(xs, k, n), n * (t - 2 - i + (i > k)), 1 << xs[k])
-                for k in range(t) if k != i
-            ))
-        links.append(row)
-    return links
-
-
-def _flip(cols: list, link: tuple, ys: list[int]) -> None:
-    """Toggle one entry's member points ys in its player's columns (see _links)."""
-    for k, base, shift, bit in link:
-        col = cols[k]
-        for y in ys:
-            col[base | y << shift] ^= bit
-
-
-def _columns(tables: list[list[int]], links: list, sets: tuple[int, ...], points: _Points) -> list:
-    """cols[j][i][vis]: the mask of the x_i for which x_j (read from player i's
-    view vis) lies in the member that player j names at that tuple.
-
-    Every mask is 0 for tables that name no member, so flipping in each
-    entry's member builds them.
-    """
-    t, entries = len(tables), len(tables[0])
-    cols = [[[0] * entries if k != j else None for k in range(t)] for j in range(t)]
-    for j, table in enumerate(tables):
-        for link, m in zip(links[j], table):
-            _flip(cols[j], link, points[sets[m]])
-    return cols
-
-
-def _sweeps(
-    tables: list[list[int]], cols: list, links: list,
-    sets: tuple[int, ...], best: _Argmax, points: _Points,
-) -> Iterator[tuple[bool, int]]:
-    """Best-response sweeps over the players in order, updating tables and cols in place.
-
-    Yields after each sweep whether it changed an entry, and the last player's
-    best-response total in it.
-    """
-    while True:
-        changed = False
-        for i, table in enumerate(tables):
-            # player i's moves flip only player i's columns, so the masks over
-            # x_i stay fixed for the whole of player i's pass
-            into = [cols[j][i] for j in range(len(tables)) if j != i]
-            consistent = into[0]
-            for col in into[1:]:
-                consistent = list(map(and_, consistent, col))
-            wins = 0
-            for vis, u in enumerate(consistent):
-                c, b = best[u]
-                wins += c
-                a = table[vis]
-                if a != b:
-                    table[vis] = b
-                    changed = True
-                    _flip(cols[i], links[i][vis], points[sets[a] ^ sets[b]])
-        yield changed, wins
-
-
 def local_search_p(
     t: int,
     n: int,
@@ -415,16 +333,17 @@ def local_search_p(
     Deterministic for a fixed seed. `threads` has no effect; it stays while
     `perfbench/workloads.py` passes it.
 
-    Each restart draws random tables, then sweeps the players in order and
-    sets every entry (i, vis) to the best response to the others' current
-    tables (ties to the lowest member index) until a sweep changes nothing.
-    The sweeps read column masks: for each ordered pair of players (j, i),
-    cols[j][i][vis] is the 2^n-bit mask of the x_i for which x_j (read from
-    vis) lies in the member that player j names at that tuple. An entry's
-    consistent points are the AND of t-1 such masks. A change from member a
-    to member b flips bit x_k of player i's columns for each other player k
-    and each point of sets[a] ^ sets[b]. A restart's win count is the last
-    player's best-response total in the sweep that changed nothing, and
+    Each restart draws random tables (`random_strategy`), then sweeps the
+    players in order and sets every entry (i, vis) to the best response to
+    the others' current tables (ties to the lowest member index) until a
+    sweep changes nothing. Each player keeps one ASCII digit per tuple of
+    B^t: entry vis of player i owns the tuples base + x * 2^(n(t-1-i)),
+    x < 2^n, and holds there the digits of the member it names (digit x is
+    1 iff x is in it). At the start of player i's pass the others' digit
+    strings are ANDed once, as ints; an entry's consistent points are the
+    2^n digits of its own tuples in that AND. A changed entry rewrites only
+    its own tuples. A restart's win count is the last player's
+    best-response total in the sweep that changed nothing, and
     `success_probability` re-checks the returned witness once against it.
     """
     if restarts < 1:
@@ -442,22 +361,53 @@ def local_search_p(
             f"tuple space 2^{n * t} exceeds the 2^{MAX_EVAL_BITS} evaluation budget"
         )
     family = enumerate_family(kind, n)
-    entries = 1 << (n * (t - 1))
-    sets = family.sets
-    best = _Argmax(sets)
-    points = _Points()
-    links = _links(t, n)
+    size, total = 1 << n, 1 << (n * t)
+    best = _Argmax(family.sets)
+    digits = [f"{w:0{size}b}"[::-1].encode() for w in family.sets]
+    # player i: (step, span, the first tuple of each entry vis)
+    layout = []
+    for i in range(t):
+        s = n * (t - 1 - i)
+        low = (1 << s) - 1
+        bases = [(vis >> s) << (s + n) | (vis & low) for vis in range(1 << (n * (t - 1)))]
+        layout.append((1 << s, size << s, bases))
 
     def ascend(restart: int) -> tuple[int, list[list[int]], int]:
-        rng = stream_rng(seed, restart)
-        tables = [
-            [rng.randrange(family.r) for _ in range(entries)] for _ in range(t)
-        ]
-        cols = _columns(tables, links, sets, points)
-        sweeps = _sweeps(tables, cols, links, sets, best, points)
-        for count, (changed, wins) in enumerate(sweeps, 1):
+        drawn = random_strategy(family, t, stream_rng(seed, restart))
+        tables = list(map(list, drawn.tables))
+        strings = []
+        for table, (step, span, bases) in zip(tables, layout):
+            own = bytearray(total)
+            for base, m in zip(bases, table):
+                own[base : base + span : step] = digits[m]
+            strings.append(own)
+        sweeps = 0
+        while True:
+            sweeps += 1
+            changed = False
+            for i, (table, (step, span, bases)) in enumerate(zip(tables, layout)):
+                # player i's moves rewrite only player i's string, so the AND
+                # of the others' strings holds for the whole pass
+                both = -1
+                for j, other in enumerate(strings):
+                    if j != i:
+                        both &= int.from_bytes(other, "little")
+                # big-endian, tuple k is byte total - 1 - k: entry vis reads
+                # its digits high point first, from byte total - 1 - base - span + step
+                seen = both.to_bytes(total, "big")
+                last = total - 1 - span + step
+                own = strings[i]
+                wins = 0
+                for vis, base in enumerate(bases):
+                    top = last - base
+                    c, b = best[int(seen[top : top + span : step], 2)]
+                    wins += c
+                    if table[vis] != b:
+                        table[vis] = b
+                        changed = True
+                        own[base : base + span : step] = digits[b]
             if not changed:
-                return wins, tables, count
+                return wins, tables, sweeps
 
     results = [ascend(restart) for restart in range(restarts)]
     wins, tables, _ = max(results, key=lambda res: res[0])  # the first best

@@ -2,7 +2,7 @@
 
 It tests every point of every entry one bit at a time and evaluates each
 restart's tables with ``game.success_probability``, sharing no code with the
-column masks of ``hatlab.solver.local_search_p``. Its sweep order, tie rule
+digit strings of ``hatlab.solver.local_search_p``. Its sweep order, tie rule
 and seed stream are the library's, so the two must return the same value,
 witness and sweep count.
 """

@@ -521,6 +521,18 @@ def test_family_json_rejects_product_tuple_with_a_repeated_point():
         family_from_json(json.dumps(BAD_PRODUCT_DOC))
 
 
+def test_family_json_rejects_a_product_base_other_than_complement_pairs():
+    # family_from_json decoded "base": "other" as complement pairs
+    doc = json.loads(family_to_json(construct_blockers(16, seed=7, delta=0.8)))
+    family_from_json(json.dumps(doc))
+    doc["product"]["base"] = "other"
+    with pytest.raises(ValueError, match="base must be 'complement-pairs', got 'other'"):
+        family_from_json(json.dumps(doc))
+    del doc["product"]["base"]
+    with pytest.raises(ValueError, match="got None"):
+        family_from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("t,n", [(3, 4), (2, 17)])
 def test_family_json_rejects_unsupported_t_or_n(t, n):
     # decoding a point costs O(n * t); only t <= 2 dictator-sized n are built here

@@ -414,6 +414,17 @@ def test_usage_error_exits_2():
 
 
 @pytest.mark.parametrize(
+    "spec", ["kneser:3:4", "shift:4:1", "complete:3:x", "edgeless:2:", "gnp:10:0.5:3:9"]
+)
+def test_graph_spec_with_an_extra_field_exits_2(spec):
+    # these exited 0 and printed the graph without the extra field
+    res = run_cli("alpha", "--graph", spec)
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert f"bad graph spec {spec!r}" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ("alpha", "--graph", "complete:0"),
@@ -506,6 +517,27 @@ def test_blocker_verify_product_tuple_with_a_repeated_point_exits_2(tmp_path):
     assert res.stdout == ""
     assert res.stderr == (
         "hatlab: a product tuple must hold 12/2 distinct points, got [1, 1, 2, 3, 4, 5, 6]\n"
+    )
+
+
+@pytest.mark.parametrize("base", ["other", None], ids=["other", "missing"])
+def test_blocker_verify_product_base_other_than_complement_pairs_exits_2(tmp_path, base):
+    # a base of "other" was read as complement pairs and certified with exit 0
+    product = {"base": "complement-pairs", "tuples": [[3, 5, 6, 9, 10, 12]]}
+    doc = {"t": 2, "n": 4, "k": 12, "beta": "3/8", "product": product}
+    f = tmp_path / "fam.json"
+    f.write_text(json.dumps(doc))
+    assert run_cli("blocker", "verify", "--file", str(f)).returncode == 0
+    if base is None:
+        del product["base"]
+    else:
+        product["base"] = base
+    f.write_text(json.dumps(doc))
+    res = run_cli("blocker", "verify", "--file", str(f))
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert res.stderr == (
+        f"hatlab: a product family's base must be 'complement-pairs', got {base!r}\n"
     )
 
 
