@@ -173,21 +173,12 @@ def test_witness_validity():
 
 
 def test_monotonicity_in_t():
-    for kind in ("dictator", "intersecting", "monotone"):
-        p1 = exact_p(1, 2, kind).value
-        p2 = exact_p(2, 2, kind).value
-        p3 = exact_p(3, 2, kind, allow_slow=True).value
-        assert p3 <= p2 <= p1
-    assert exact_p(2, 3, "dictator").value <= exact_p(1, 3, "dictator").value
-
-
-@pytest.mark.parametrize("kind", ["dictator", "intersecting", "monotone"])
-@pytest.mark.parametrize("n,top", [(1, 12), (2, 3), (3, 2)])
-def test_success_strictly_decreases_in_t(kind, n, top):
-    # the paper's theorem, p(t+1, n) < p(t, n), for t = 1..top; exact_p(20, 1)
-    # takes seconds, and above these t no exact engine runs for n >= 2
-    values = [exact_p(t, n, kind, allow_slow=t == 3).value for t in range(1, top + 1)]
-    assert all(after < before for before, after in zip(values, values[1:])), values
+    # the paper's theorem, p(t+1, n) < p(t, n), for t = 1..top on every kind;
+    # exact_p(20, 1) takes seconds, and above these t no exact engine runs
+    kinds = ("dictator", "intersecting", "monotone")
+    for (n, top), kind in product([(1, 12), (2, 3), (3, 2)], kinds):
+        values = [exact_p(t, n, kind, allow_slow=t == 3).value for t in range(1, top + 1)]
+        assert all(after < before for before, after in zip(values, values[1:])), (n, kind, values)
 
 
 def test_one_player_at_the_width_budget():
