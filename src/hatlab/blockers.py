@@ -554,7 +554,7 @@ def family_from_json(text: str) -> BlockerFamily:
             raise ValueError("a product family needs t=2 and a list of product tuples")
         base = doc["product"].get("base")
         if base != "complement-pairs":
-            # the only base family_to_json writes and the tuples are decoded over
+            # the only base family_to_json writes, and the one the tuples are read over
             raise ValueError(f"a product family's base must be 'complement-pairs', got {base!r}")
         for tp in tuples:
             _index_list(tp, n, "a product tuple")
