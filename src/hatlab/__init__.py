@@ -48,12 +48,10 @@ from .graphs import (
 )
 from .randomsub import (
     AlphaStarStarEstimate,
-    SubsetSample,
     alpha_star_star_exact,
     alpha_star_star_mc,
     check_Rv_statistics,
     epsilon_gap,
-    sample_Rv,
 )
 from .solver import (
     PartitionView,
@@ -74,7 +72,6 @@ __all__ = [
     "PointSet",
     "SolveResult",
     "Strategy",
-    "SubsetSample",
     "WinningFamily",
     "AlphaStarStarEstimate",
     "HatlabError",
@@ -107,7 +104,6 @@ __all__ = [
     "maximum_independent_sets",
     "min_graph_blocker",
     "random_graph",
-    "sample_Rv",
     "shift_graph",
     "success_probability",
     "verify_blocker",

@@ -14,6 +14,8 @@ told apart by the binary magic.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 import time
@@ -95,8 +97,12 @@ class RunRecord:
             if isinstance(v, (str, int, float, bool)) or v is None:
                 flat[f"result_{k}"] = v
         cols = sorted(flat)
-        row = ",".join("" if flat[c] is None else str(flat[c]) for c in cols)
-        return ",".join(cols) + "\n" + row
+        # minimal quoting: only a value holding a comma or a quote is quoted
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerow("" if flat[c] is None else str(flat[c]) for c in cols)
+        return out.getvalue().rstrip("\n")
 
 
 def frac_fields(value: Fraction) -> dict:
@@ -403,7 +409,11 @@ def main(argv: list[str] | None = None) -> int:
         print(record.to_csv())
     else:
         print(record.to_json())
-    summary = result.get("value") or result.get("mean") or result.get("certified")
+    # the graph commands have a label and family a member count to show
+    summary = next(
+        (result[k] for k in ("value", "mean", "certified", "label", "r") if k in result),
+        None,
+    )
     print(
         f"hatlab {args.command}: {summary} [{wall:.3f}s]",
         file=sys.stderr,

@@ -9,7 +9,6 @@ only error is sampling error (each sample solves its induced MIS exactly).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -24,27 +23,6 @@ from .graphs import (
     mis_size_all_subsets,
     mis_size_in_subset,
 )
-
-
-def sample_Rv(family: WinningFamily, seed: int) -> tuple[int, tuple[int, ...]]:
-    """Draw a uniform point v and return it with {i : v in W_i}."""
-    rng = random.Random(seed)
-    v = rng.randrange(1 << family.n)
-    return v, family.indices_containing(v)
-
-
-@dataclass(frozen=True)
-class SubsetSample:
-    """A drawn vertex subset, tagged with how it was produced."""
-
-    bits: int
-    origin: str  # "binomial" or "family-induced"
-    v: int | None = None  # the inducing point, when family-induced
-
-
-def sample_binomial_subset(nbits: int, seed: int, index: int = 0) -> SubsetSample:
-    w = stream_rng(seed, index).getrandbits(nbits)
-    return SubsetSample(bits=w, origin="binomial")
 
 
 @dataclass(frozen=True)
@@ -109,33 +87,6 @@ def check_Rv_statistics(
     )
 
 
-def induced_subset_distribution(
-    family: WinningFamily, cells: tuple[int, ...]
-) -> dict[int, Fraction]:
-    """Exact law of W = union of cells[i] over i in R_v, v uniform."""
-    if len(cells) != family.r:
-        raise ValueError(f"need one cell per family member ({family.r}), got {len(cells)}")
-    size = 1 << family.n
-    counts: dict[int, int] = {}
-    for v in range(size):
-        w = 0
-        for i, s in enumerate(family.sets):
-            if s >> v & 1:
-                w |= cells[i]
-        counts[w] = counts.get(w, 0) + 1
-    return {w: Fraction(c, size) for w, c in counts.items()}
-
-
-def sample_induced_subset(
-    family: WinningFamily, cells: tuple[int, ...], seed: int
-) -> SubsetSample:
-    v, indices = sample_Rv(family, seed)
-    w = 0
-    for i in indices:
-        w |= cells[i]
-    return SubsetSample(bits=w, origin="family-induced", v=v)
-
-
 def _check_vertices(g: Graph) -> None:
     if g.vcount == 0:
         raise ValueError("alpha** of a graph with no vertices is undefined")
@@ -191,7 +142,6 @@ def alpha_star_star_mc(
         size_of = partial(mis_size_in_subset, g)
     s1 = s2 = 0
     for i in range(samples):
-        # the draw of sample_binomial_subset(v, seed, i), without its wrapper
         a = size_of(stream_rng(seed, i).getrandbits(v))
         s1 += a
         s2 += a * a

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -373,6 +375,43 @@ def test_csv_format():
     cols = dict(zip(header.split(","), row.split(",")))
     assert cols["result_value"] == "1/2"
     assert cols["command"] == "solve"
+
+
+@pytest.mark.parametrize("args,label", [
+    (("alpha", "--graph", "kneser:2", "--power", "2"), "power(kneser(2),2)"),
+    (("alpha", "--graph", "gnp:10:0.2:3"), "gnp(10,0.2,3)"),
+    (("graph", "export", "--graph", "kneser:3", "--power", "2"), "power(kneser(3),2)"),
+], ids=["alpha-kneser2^2", "alpha-gnp10", "export-kneser3^2"])
+def test_csv_quotes_values_that_hold_a_comma(tmp_path, args, label):
+    if args[0] == "graph":
+        args += ("--out", str(tmp_path / "g.txt"))
+    res = run_cli("--format", "csv", *args)
+    assert res.returncode == 0, res.stderr
+    header, row = csv.reader(io.StringIO(res.stdout))
+    assert len(header) == len(row)
+    assert dict(zip(header, row))["result_label"] == label
+
+
+def test_csv_without_commas_is_unchanged():
+    # recorded before values holding a comma were quoted
+    res = run_cli("--format", "csv", "alphastar", "--graph", "shift:4", "--mode", "mc",
+                  "--samples", "100", "--seed", "3")
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+        "cf3b44c83e3c8ad29b4892bce10f465eb3b20171300cfaa614e758413138b541"
+    )
+
+
+def test_stderr_summary_of_family_and_graph_commands(tmp_path):
+    out = str(tmp_path / "g.txt")
+    for args, summary in (
+        (("family", "--n", "3", "--kind", "intersecting"), "4"),
+        (("graph", "export", "--graph", "kneser:3", "--out", out), "kneser(3)"),
+        (("graph", "import", "--file", out), "imported"),
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr.startswith(f"hatlab {args[0]}: {summary} ["), res.stderr
 
 
 def test_package_runs_as_a_module():

@@ -138,6 +138,19 @@ def test_intersecting_family_n3_members():
     assert set(dict3.sets) | {majority} == set(fam.sets)
 
 
+def test_indices_containing_is_the_membership_set():
+    for kind, n in (("dictator", 2), ("intersecting", 3)):
+        fam = enumerate_family(kind, n)
+        for v in range(1 << n):
+            assert fam.indices_containing(v) == tuple(
+                i for i, w in enumerate(fam.sets) if w >> v & 1
+            )
+    # 11 lies in both dictators, 00 in none
+    dict2 = enumerate_family("dictator", 2)
+    assert dict2.indices_containing(0b11) == (0, 1)
+    assert dict2.indices_containing(0) == ()
+
+
 def test_monotone_family_n2_is_the_dictators():
     assert enumerate_family("monotone", 2).sets == enumerate_family("dictator", 2).sets
 

@@ -40,3 +40,13 @@ def test_package_imports_only_the_standard_library(path):
             continue
         for name in names:
             assert name.partition(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_export_list_resolves():
+    import hatlab
+
+    missing = [name for name in hatlab.__all__ if not hasattr(hatlab, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from hatlab import *", namespace)
+    assert set(hatlab.__all__) <= set(namespace)

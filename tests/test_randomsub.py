@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,25 +24,11 @@ from hatlab.randomsub import (
     alpha_star_star_mc,
     check_Rv_statistics,
     epsilon_gap,
-    induced_subset_distribution,
-    sample_Rv,
-    sample_binomial_subset,
-    sample_induced_subset,
 )
 from hatlab.graphs import max_independent_set
 
 
 # --- R_v --------------------------------------------------------------------
-
-
-def test_sample_Rv_definition():
-    fam = enumerate_family("dictator", 2)
-    for seed in range(40):
-        v, indices = sample_Rv(fam, seed)
-        assert indices == tuple(i for i, w in enumerate(fam.sets) if w >> v & 1)
-    # specific memberships: 11 lies in both dictators, 00 in none
-    assert enumerate_family("dictator", 2).indices_containing(0b11) == (0, 1)
-    assert enumerate_family("dictator", 2).indices_containing(0) == ()
 
 
 def test_all_ones_in_every_intersecting_family():
@@ -72,30 +59,6 @@ def test_dictator_covariances_are_exactly_zero():
 def test_single_set_family_marginal():
     rep = check_Rv_statistics(enumerate_family("dictator", 1), samples=0)
     assert rep.marginals == (Fraction(1, 2),)
-
-
-def test_induced_distribution_matches_binomial_for_singleton_cells():
-    # dictator family with one singleton cell per member: W is then exactly
-    # the support-set of the drawn point, i.e. uniform over all subsets
-    for n in (1, 2, 3):
-        fam = enumerate_family("dictator", n)
-        cells = tuple(1 << i for i in range(n))
-        dist = induced_subset_distribution(fam, cells)
-        assert dist == {w: Fraction(1, 1 << n) for w in range(1 << n)}
-
-
-def test_induced_sampler_consistent_with_distribution():
-    fam = enumerate_family("intersecting", 3)
-    cells = (0b00001111, 0b00110000, 0b01000000, 0b10000000)
-    dist = induced_subset_distribution(fam, cells)
-    for seed in range(30):
-        sample = sample_induced_subset(fam, cells, seed)
-        assert sample.origin == "family-induced"
-        assert sample.bits in dist
-        expected = 0
-        for i in fam.indices_containing(sample.v):
-            expected |= cells[i]
-        assert sample.bits == expected
 
 
 # --- alpha** exact ----------------------------------------------------------
@@ -167,13 +130,23 @@ def test_monotone_under_edge_addition():
 # --- alpha** Monte Carlo ----------------------------------------------------
 
 
-def test_binomial_sampler_gives_the_mc_draws():
-    # alpha_star_star_mc draws sample i straight from the stream, not through
-    # the public sampler; both must give the same subsets
-    for v in (1, 16, 64, 100):
-        for i in range(20):
-            sample = sample_binomial_subset(v, 7, i)
-            assert (sample.bits, sample.origin) == (stream_rng(7, i).getrandbits(v), "binomial")
+@pytest.mark.parametrize(
+    "make", [lambda: shift_graph(4), lambda: random_graph(21, 0.3, 3)],
+    ids=["table-route", "search-route"],
+)
+def test_mc_is_the_mean_over_the_stream_draws(make):
+    # sample i is stream_rng(seed, i).getrandbits(vcount); shift(4) has 16
+    # vertices and reads the subset-DP table, gnp(21) runs the search per draw
+    g, samples, seed = make(), 300, 7
+    v = g.vcount
+    sizes = [
+        mis_size_in_subset(g, stream_rng(seed, i).getrandbits(v)) for i in range(samples)
+    ]
+    mean = sum(sizes) / (samples * v)
+    var = (sum(a * a for a in sizes) / (v * v) - samples * mean * mean) / (samples - 1)
+    stderr = math.sqrt(max(var, 0.0) / samples)
+    est = alpha_star_star_mc(g, samples=samples, seed=seed)
+    assert (repr(est.mean), repr(est.stderr)) == (repr(mean), repr(stderr))
 
 
 def test_mc_matches_exact_within_four_stderr():
