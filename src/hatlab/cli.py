@@ -97,11 +97,9 @@ class RunRecord:
             if isinstance(v, (str, int, float, bool)) or v is None:
                 flat[f"result_{k}"] = v
         cols = sorted(flat)
-        # minimal quoting: only a value holding a comma or a quote is quoted
+        # minimal quoting: a value holding a comma is quoted, None is empty
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(cols)
-        writer.writerow("" if flat[c] is None else str(flat[c]) for c in cols)
+        csv.writer(out, lineterminator="\n").writerows([cols, [flat[c] for c in cols]])
         return out.getvalue().rstrip("\n")
 
 
