@@ -32,20 +32,14 @@ MAX_CSP_TABLES = 2_000_000
 def k_sequence(d: int) -> int:
     """Blocker-size sequence: k(1) = 2, k(d+1) = k(d) * C(2k(d), k(d)).
 
-    Grows as a tower; d = 4 is a number of about 1.3e9 bits and takes a long
+    Grows as a tower; d = 4 is a number of about 6.5e7 bits and takes a long
     time to materialize, anything beyond is refused.
     """
     if not 1 <= d <= 4:
         raise UnsupportedSizeError(f"k_sequence supports 1 <= d <= 4, got {d}")
     k = 2
     for _ in range(d - 1):
-        if k > 1_000_000:
-            # math.comb is too slow at this size; factorials use the
-            # divide-and-conquer C implementation
-            c = math.factorial(2 * k) // (math.factorial(k) ** 2)
-        else:
-            c = math.comb(2 * k, k)
-        k = k * c
+        k *= math.comb(2 * k, k)
     return k
 
 
@@ -189,14 +183,6 @@ def verify_blocker(blocker: Blocker, family: WinningFamily) -> VerifyResult:
     return VerifyResult(True, None, n_tables)
 
 
-@dataclass
-class StallReport:
-    consecutive_rejections: int
-    target_beta: Fraction
-    achieved_beta: Fraction
-    tuples_kept: int
-
-
 class PackedTuples(Sequence):
     """Equal-length tuples of ints stored as one flat array.
 
@@ -255,7 +241,6 @@ class BlockerFamily:
     blockers: tuple[Blocker, ...] | None = None
     tuples: Sequence[tuple[int, ...]] | None = None
     stalled: bool = False
-    stall_report: StallReport | None = None
     certified: bool = False
 
     MATERIALIZE_LIMIT = 20_000
@@ -377,18 +362,14 @@ def construct_blockers(
         covered_count += ELL
         kept.append(ys)
 
-    beta = Fraction(covered_count, size)
     family = BlockerFamily(
         t=2,
         n=n,
         k=2 * ELL,
-        beta=beta,
+        beta=Fraction(covered_count, size),
         seed=seed,
         tuples=tuple(kept),
         stalled=stalled,
-        stall_report=StallReport(consecutive, target, beta, len(kept))
-        if stalled
-        else None,
     )
     if family.blocker_count <= BlockerFamily.MATERIALIZE_LIMIT:
         family.materialize()

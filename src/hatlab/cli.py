@@ -94,8 +94,9 @@ class RunRecord:
         flat["command"] = self.command
         flat["seed"] = self.seed
         for k, v in sorted(self.result.items()):
-            if isinstance(v, (str, int, float, bool)) or v is None:
-                flat[f"result_{k}"] = v
+            if isinstance(v, (list, tuple, dict)):
+                v = json.dumps(v, sort_keys=True, separators=(",", ":"))
+            flat[f"result_{k}"] = v
         cols = sorted(flat)
         # minimal quoting: a value holding a comma is quoted, None is empty
         out = io.StringIO()

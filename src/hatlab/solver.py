@@ -426,13 +426,11 @@ def local_search_p(
     )
 
 
-def dominance_chain(
-    t: int, n: int, *, allow_slow: bool = False
-) -> tuple[Fraction, Fraction, Fraction]:
+def dominance_chain(t: int, n: int) -> tuple[Fraction, Fraction, Fraction]:
     """(p_dict, p_intersecting, p_monotone) at (t, n), checked non-decreasing."""
-    p_dict = exact_p(t, n, "dictator", allow_slow=allow_slow).value
-    p_int = exact_p(t, n, "intersecting", allow_slow=allow_slow).value
-    p_mono = exact_p(t, n, "monotone", allow_slow=allow_slow).value
+    p_dict = exact_p(t, n, "dictator").value
+    p_int = exact_p(t, n, "intersecting").value
+    p_mono = exact_p(t, n, "monotone").value
     if not p_dict <= p_int <= p_mono:
         raise RuntimeError(
             f"dominance chain violated at (t={t}, n={n}): "

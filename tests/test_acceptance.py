@@ -332,7 +332,7 @@ def test_criterion_14_rv_statistics():
     ok = True
     for kind in ("dictator", "intersecting"):
         for n in (2, 3):
-            rep = check_Rv_statistics(enumerate_family(kind, n), samples=0)
+            rep = check_Rv_statistics(enumerate_family(kind, n))
             ok = ok and rep.marginals_exact_half and rep.covariances_nonnegative
     report("14", "exact R_v marginals 1/2 and nonnegative covariances", ok)
 

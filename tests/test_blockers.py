@@ -360,9 +360,7 @@ def test_class_certification_matches_direct_oracle_on_samples():
 def test_construct_stall_contract():
     family = construct_blockers(16, seed=7, delta=0.15, stall_limit=0)
     assert family.stalled
-    assert family.stall_report is not None
-    assert family.stall_report.achieved_beta == family.beta
-    assert family.beta < family.stall_report.target_beta
+    assert family.beta < Fraction(1, 6) * (1 - Fraction(0.15))
     # the partial family still certifies
     cert = certify_family(family, enumerate_family("dictator", 16))
     assert cert.certified

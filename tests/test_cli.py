@@ -7,6 +7,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -402,6 +404,19 @@ def test_csv_without_commas_is_unchanged():
     )
 
 
+@pytest.mark.parametrize("args,key", [
+    (("family", "--n", "2"), "sets"),
+    (("solve", "--t", "2", "--n", "2", "--witness"), "witness"),
+], ids=["family-sets", "solve-witness"])
+def test_csv_writes_list_and_object_fields_as_json(args, key):
+    res = run_cli("--format", "csv", *args)
+    assert res.returncode == 0, res.stderr
+    header, row = csv.reader(io.StringIO(res.stdout))
+    assert len(header) == len(row)
+    cell = dict(zip(header, row))[f"result_{key}"]
+    assert json.loads(cell) == payload(*args)["result"][key]
+
+
 def test_stderr_summary_of_family_and_graph_commands(tmp_path):
     out = str(tmp_path / "g.txt")
     for args, summary in (
@@ -677,3 +692,30 @@ def test_blocker_build_over_the_dictator_limit_exits_3_at_once(n):
     assert time.perf_counter() - start < 10
     assert res.stdout == ""
     assert "n <= 16" in res.stderr and "Traceback" not in res.stderr
+
+
+def readme_commands() -> list[tuple[list[str], str | None]]:
+    """The `hatlab` lines of README's "Command line" block, with any value
+    their comment quotes."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("hatlab "):
+            quoted = re.search(r'"([^"]+)"', comment)
+            commands.append((shlex.split(command)[1:], quoted and quoted[1]))
+    return commands
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    from hatlab.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 13
+    for argv, value in commands:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if value is not None:
+            assert json.loads(out)["result"]["value"] == value, argv

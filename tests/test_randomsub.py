@@ -41,15 +41,13 @@ def test_all_ones_in_every_intersecting_family():
     ("intersecting", 2), ("intersecting", 3),
 ])
 def test_Rv_statistics_exact(kind, n):
-    rep = check_Rv_statistics(enumerate_family(kind, n), samples=500, seed=1)
+    rep = check_Rv_statistics(enumerate_family(kind, n))
     assert rep.marginals_exact_half
     assert rep.covariances_nonnegative
-    assert rep.findings == ()
-    assert rep.empirical_max_marginal_dev < 0.1
 
 
 def test_dictator_covariances_are_exactly_zero():
-    rep = check_Rv_statistics(enumerate_family("dictator", 3), samples=0)
+    rep = check_Rv_statistics(enumerate_family("dictator", 3))
     for i in range(3):
         for j in range(3):
             expected = Fraction(1, 4) if i == j else Fraction(0)
@@ -57,7 +55,7 @@ def test_dictator_covariances_are_exactly_zero():
 
 
 def test_single_set_family_marginal():
-    rep = check_Rv_statistics(enumerate_family("dictator", 1), samples=0)
+    rep = check_Rv_statistics(enumerate_family("dictator", 1))
     assert rep.marginals == (Fraction(1, 2),)
 
 
