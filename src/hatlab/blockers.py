@@ -16,8 +16,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -183,46 +181,6 @@ def verify_blocker(blocker: Blocker, family: WinningFamily) -> VerifyResult:
     return VerifyResult(True, None, n_tables)
 
 
-class PackedTuples(Sequence):
-    """Equal-length tuples of ints stored as one flat array.
-
-    Compares, iterates, indexes, slices and prints like the tuple of tuples
-    it packs, in a fraction of the memory: a product family keeps thousands
-    of its vector tuples.
-    """
-
-    def __init__(self, rows) -> None:
-        rows = [tuple(r) for r in rows]
-        self._len = len(rows)
-        self._width = len(rows[0]) if rows else 0
-        if any(len(r) != self._width for r in rows):
-            raise ValueError("packed tuples must all have the same length")
-        self._flat = array("Q", [v for r in rows for v in r])
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self):
-        if self._width == 0:
-            return iter([()] * self._len)
-        # one shared iterator, width times: zip groups the flat array into rows
-        return zip(*[iter(self._flat)] * self._width)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
-        if not -self._len <= i < self._len:
-            raise IndexError("tuple index out of range")
-        start = i % self._len * self._width
-        return tuple(self._flat[start : start + self._width])
-
-    def __eq__(self, other) -> bool:
-        return tuple(self) == (tuple(other) if isinstance(other, PackedTuples) else other)
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
 @dataclass
 class BlockerFamily:
     """Disjoint equal-size blockers with the exact measure of their union.
@@ -230,7 +188,8 @@ class BlockerFamily:
     Small families carry their blockers explicitly. Families built as
     products of all complement pairs with kept vector tuples can be too
     large to materialize (2^(n-1) pairs times thousands of tuples), so they
-    store the tuples, packed, and generate blockers on demand.
+    store only the kept tuples, as a tuple of int tuples, and generate
+    blockers on demand.
     """
 
     t: int
@@ -239,15 +198,15 @@ class BlockerFamily:
     beta: Fraction
     seed: int | None = None
     blockers: tuple[Blocker, ...] | None = None
-    tuples: Sequence[tuple[int, ...]] | None = None
+    tuples: tuple[tuple[int, ...], ...] | None = None
     stalled: bool = False
     certified: bool = False
 
     MATERIALIZE_LIMIT = 20_000
 
     def __post_init__(self) -> None:
-        if self.tuples is not None and not isinstance(self.tuples, PackedTuples):
-            self.tuples = PackedTuples(self.tuples)
+        if self.tuples is not None:
+            self.tuples = tuple(map(tuple, self.tuples))
 
     @property
     def blocker_count(self) -> int:
@@ -424,39 +383,30 @@ def certify_family(family: BlockerFamily, winning: WinningFamily) -> FamilyCerti
     return FamilyCertification(not failures, family.blocker_count, runs, tuple(failures))
 
 
+def _point_counts(family: BlockerFamily) -> tuple[int, int]:
+    """(distinct, listed) points of B^t over the family's blockers.
+
+    A product family's blockers are every complement pair times every
+    tuple. The pairs partition {0,1}^n, so each y of a tuple stands for the
+    2^n points (a, y), and a y listed twice, across tuples or inside one,
+    lists those points twice.
+    """
+    if family.blockers is not None:
+        rows, scale = [b.points for b in family.blockers], 0
+    else:
+        rows, scale = family.tuples, family.n
+    return len({p for row in rows for p in row}) << scale, sum(map(len, rows)) << scale
+
+
 def check_pairwise_disjoint(family: BlockerFamily) -> bool:
     """Exact check that no point lies in two of the family's blockers."""
-    if family.blockers is not None:
-        seen: set[tuple[int, ...]] = set()
-        for b in family.blockers:
-            for p in b.points:
-                if p in seen:
-                    return False
-                seen.add(p)
-        return True
-    assert family.tuples is not None
-    # product structure: the complement pairs partition {0,1}^n, so the
-    # products are disjoint exactly when no y-point repeats across tuples
-    pts: set[int] = set()
-    for ytuple in family.tuples:
-        for y in ytuple:
-            if y in pts:
-                return False
-            pts.add(y)
-    return True
+    distinct, listed = _point_counts(family)
+    return distinct == listed
 
 
 def union_measure(family: BlockerFamily) -> Fraction:
     """Recompute beta by exact union counting."""
-    if family.blockers is not None:
-        pts = set()
-        for b in family.blockers:
-            pts.update(b.points)
-        return Fraction(len(pts), 1 << (family.n * family.t))
-    assert family.tuples is not None
-    y_pts = {y for ytuple in family.tuples for y in ytuple}
-    # union over all pairs of b x Y = B x (union of tuples)
-    return Fraction((1 << family.n) * len(y_pts), 1 << (2 * family.n))
+    return Fraction(_point_counts(family)[0], 1 << (family.n * family.t))
 
 
 # --- serialization ----------------------------------------------------------
@@ -494,9 +444,9 @@ def _index_list(value, bits: int, what: str) -> list[int]:
 
 
 def family_from_json(text: str) -> BlockerFamily:
-    """Inverse of family_to_json; a malformed document, blockers that share
-    a point, or a beta that is not the union measure of its blockers, raises
-    ValueError."""
+    """Inverse of family_to_json; a malformed document, one that holds both
+    blockers and product, blockers that share a point, or a beta that is not
+    the union measure of its blockers, raises ValueError."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("a blocker family document must be a JSON object")
@@ -505,6 +455,8 @@ def family_from_json(text: str) -> BlockerFamily:
         missing.append("blockers or product")
     if missing:
         raise ValueError(f"blocker family JSON lacks {', '.join(missing)}")
+    if "blockers" in doc and "product" in doc:
+        raise ValueError("a blocker family document holds blockers or product, not both")
     t, n, k = doc["t"], doc["n"], doc["k"]
     if not all(type(v) is int and v >= 1 for v in (t, n, k)):
         raise ValueError(f"t, n and k must be positive integers, got {t!r}, {n!r}, {k!r}")
@@ -546,9 +498,10 @@ def family_from_json(text: str) -> BlockerFamily:
         t=t, n=n, k=k, beta=beta, seed=seed, blockers=blockers, tuples=tuples,
         stalled=stalled, certified=certified,
     )
-    if not check_pairwise_disjoint(family):
+    distinct, listed = _point_counts(family)
+    if distinct != listed:
         raise ValueError("the blockers are not pairwise disjoint: a point lies in two of them")
-    measure = union_measure(family)
+    measure = Fraction(distinct, 1 << (n * t))
     if measure != beta:
         raise ValueError(f"beta {beta} does not match the union measure {measure}")
     return family

@@ -202,27 +202,6 @@ def best_response_value(partition: PartitionView, family: WinningFamily) -> Frac
     return Fraction(total, 1 << (2 * family.n))
 
 
-def _exact_p1(family: WinningFamily) -> SolveResult:
-    best, best_i = _Argmax(family.sets)[(1 << (1 << family.n)) - 1]
-    return SolveResult(
-        value=Fraction(best, 1 << family.n),
-        witness=constant_strategy(family, 1, best_i),
-        method="exhaustive",
-        work=family.r,
-    )
-
-
-def _exact_forced(family: WinningFamily, t: int) -> SolveResult:
-    # r = 1: a unique strategy exists; evaluate it directly.
-    witness = constant_strategy(family, t, 0)
-    return SolveResult(
-        value=success_probability(witness, family),
-        witness=witness,
-        method="exhaustive",
-        work=1,
-    )
-
-
 def _exact_last_player(family: WinningFamily, t: int) -> SolveResult:
     """Exact t=2 or t=3 optimum by enumerating the last player's table.
 
@@ -268,13 +247,14 @@ def exact_p(
 ) -> SolveResult:
     """Exact optimum success probability with an optimal witness strategy.
 
-    Supported budgets: t=1 (any enumerable family); n=1 (any t up to 20);
-    t=2 and t=3 through one bounded last-player walk over r^(2^(n(t-1)))
-    tables. Up to 70000 tables it runs freely (t=2, n <= 3 for the three
-    standard kinds); t=3 (n=2) and t=2 spaces of up to 4^16 tables (the n=4
-    dictator kind, about 30 s) run behind allow_slow. Larger t=2 spaces,
-    such as the n=4 intersecting and monotone kinds, raise
-    UnsupportedSizeError. Within these budgets the last player's table has
+    Supported budgets: t=1 (any enumerable family) and n=1 (any t up to
+    20), where every member holds half of {0,1}^n and the constant strategy
+    on member 0 is optimal; t=2 and t=3 through one bounded last-player
+    walk over r^(2^(n(t-1))) tables. Up to 70000 tables it runs freely
+    (t=2, n <= 3 for the three standard kinds); t=3 (n=2) and t=2 spaces of
+    up to 4^16 tables (the n=4 dictator kind, about 30 s) run behind
+    allow_slow. Larger t=2 spaces, such as the n=4 intersecting and
+    monotone kinds, raise UnsupportedSizeError. Within these budgets the last player's table has
     at most 16 entries, so the walk's score table (one byte per union of
     entries) is at most 64 KiB. `threads` has no effect; it stays while
     `perfbench/workloads.py` passes it.
@@ -282,12 +262,20 @@ def exact_p(
     if t < 1:
         raise ValueError(f"need t >= 1, got t={t}")
     family = enumerate_family(kind, n)
-    if t == 1:
-        return _exact_p1(family)
-    if n == 1:
+    if t == 1 or n == 1:
         if t > 20:
             raise UnsupportedSizeError(f"n=1 games support t <= 20, got t={t}")
-        return _exact_forced(family, t)
+        # every member holds half the points, so at t=1 all constant
+        # strategies tie; at n=1 the one member is the only choice
+        assert all(w.bit_count() == 1 << (n - 1) for w in family.sets)
+        assert t == 1 or family.r == 1
+        witness = constant_strategy(family, t, 0)
+        return SolveResult(
+            value=success_probability(witness, family),
+            witness=witness,
+            method="exhaustive",
+            work=family.r,
+        )
     if t == 2 or (t == 3 and n == 2):
         if t == 3 and not allow_slow:
             raise UnsupportedSizeError(

@@ -20,7 +20,6 @@ from hatlab.blockers import (
     family_from_json,
     family_to_json,
     k_sequence,
-    PackedTuples,
     min_graph_blocker,
     union_measure,
     verify_blocker,
@@ -284,6 +283,23 @@ def test_product_family_disjointness_is_exact():
     )
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_product_formulas_match_the_explicit_expansion(n):
+    a, b, c, d, e, f = random.Random(n).sample(range(1 << n), 6)
+    cases = [
+        ([(a, b, c), (d, e, f)], True),
+        ([(a, b, c), (c, d, e)], False),  # c in two tuples
+        ([(a, b, a), (d, e, f)], False),  # a twice inside one tuple
+    ]
+    for tuples, disjoint in cases:
+        family = BlockerFamily(t=2, n=n, k=6, beta=Fraction(1), tuples=tuples)
+        points = [
+            (x, y) for pair in family.pair_list() for tp in tuples for x in pair for y in tp
+        ]
+        assert union_measure(family) == Fraction(len(set(points)), 1 << (2 * n))
+        assert check_pairwise_disjoint(family) == (len(set(points)) == len(points)) == disjoint
+
+
 def test_explicit_family_disjointness_is_exact():
     shared = Blocker(t=2, n=2, points=((0, 3), (3, 0)))
     overlapping = Blocker(t=2, n=2, points=((3, 0), (1, 2)))
@@ -403,27 +419,6 @@ def test_construct_rejects_negative_stall_limit():
     assert not construct_blockers(8, seed=1, delta=0.15, stall_limit=0).stalled
 
 
-# --- packed tuples ------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "rows",
-    [((1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12)), ((5,), (0,)), ((), (), ()), ()],
-    ids=["width-3", "width-1", "width-0", "empty"],
-)
-def test_packed_tuples_behave_like_tuple_of_tuples(rows):
-    packed = PackedTuples(rows)
-    assert tuple(packed) == rows
-    assert len(list(packed)) == len(packed) == len(rows)
-    assert packed == rows and packed == PackedTuples(rows)
-    assert repr(packed) == repr(rows)
-    for sl in (slice(None), slice(1, None), slice(None, None, -1), slice(0, 3, 2)):
-        assert packed[sl] == rows[sl]
-    assert [packed[i] for i in range(-len(rows), len(rows))] == [
-        rows[i] for i in range(-len(rows), len(rows))
-    ]
-
-
 # --- serialization ----------------------------------------------------------
 
 
@@ -483,6 +478,13 @@ def test_family_json_rejects_beta_that_is_not_the_union_measure():
     family_from_json(json.dumps(_family_doc()))
     with pytest.raises(ValueError, match="union measure 1/128"):
         family_from_json(json.dumps(_family_doc(beta="1/2", certified=True)))
+
+
+def test_family_json_rejects_a_document_with_blockers_and_product():
+    # the product used to be dropped and the blockers decoded alone
+    product = {"base": "complement-pairs", "tuples": [[3, 5, 6, 9, 10, 12]]}
+    with pytest.raises(ValueError, match="blockers or product, not both"):
+        family_from_json(json.dumps(_family_doc(product=product)))
 
 
 def test_family_json_rejects_point_index_out_of_range():

@@ -545,8 +545,11 @@ def test_graph_import_malformed_exits_2(tmp_path, name, data):
 @pytest.mark.parametrize(
     "change,drop",
     [({"blockers": [[15, 999999]]}, None), ({"blockers": [[15]]}, None), ({}, "k"),
-     ({"beta": "1/2"}, None)],
-    ids=["index-out-of-range", "wrong-length", "missing-k", "beta-not-union-measure"],
+     ({"beta": "1/2"}, None),
+     # the product was dropped silently and the blockers verified with exit 0
+     ({"product": {"base": "complement-pairs", "tuples": [[3, 5, 6, 9, 10, 12]]}}, None)],
+    ids=["index-out-of-range", "wrong-length", "missing-k", "beta-not-union-measure",
+         "blockers-and-product"],
 )
 def test_blocker_verify_malformed_exits_2(tmp_path, change, drop):
     doc = {"t": 2, "n": 4, "k": 2, "beta": "1/128", "seed": None,

@@ -42,6 +42,20 @@ def test_package_imports_only_the_standard_library(path):
             assert name.partition(".")[0] in allowed, f"{path.name} imports {name}"
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
+
+
 def test_export_list_resolves():
     import hatlab
 
