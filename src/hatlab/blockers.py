@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 import math
 import random
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -181,6 +183,46 @@ def verify_blocker(blocker: Blocker, family: WinningFamily) -> VerifyResult:
     return VerifyResult(True, None, n_tables)
 
 
+class PackedTuples(Sequence):
+    """Equal-length tuples of ints stored as one flat array.
+
+    Compares, iterates, indexes, slices and prints like the tuple of tuples
+    it packs, in a fraction of the memory: a product family keeps thousands
+    of its vector tuples.
+    """
+
+    def __init__(self, rows) -> None:
+        rows = [tuple(r) for r in rows]
+        self._len = len(rows)
+        self._width = len(rows[0]) if rows else 0
+        if any(len(r) != self._width for r in rows):
+            raise ValueError("packed tuples must all have the same length")
+        self._flat = array("Q", [v for r in rows for v in r])
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        if self._width == 0:
+            return iter([()] * self._len)
+        # one shared iterator, width times: zip groups the flat array into rows
+        return zip(*[iter(self._flat)] * self._width)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        if not -self._len <= i < self._len:
+            raise IndexError("tuple index out of range")
+        start = i % self._len * self._width
+        return tuple(self._flat[start : start + self._width])
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, PackedTuples) else other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass
 class BlockerFamily:
     """Disjoint equal-size blockers with the exact measure of their union.
@@ -188,8 +230,7 @@ class BlockerFamily:
     Small families carry their blockers explicitly. Families built as
     products of all complement pairs with kept vector tuples can be too
     large to materialize (2^(n-1) pairs times thousands of tuples), so they
-    store only the kept tuples, as a tuple of int tuples, and generate
-    blockers on demand.
+    store the tuples, packed, and generate blockers on demand.
     """
 
     t: int
@@ -198,15 +239,15 @@ class BlockerFamily:
     beta: Fraction
     seed: int | None = None
     blockers: tuple[Blocker, ...] | None = None
-    tuples: tuple[tuple[int, ...], ...] | None = None
+    tuples: Sequence[tuple[int, ...]] | None = None
     stalled: bool = False
     certified: bool = False
 
     MATERIALIZE_LIMIT = 20_000
 
     def __post_init__(self) -> None:
-        if self.tuples is not None:
-            self.tuples = tuple(map(tuple, self.tuples))
+        if self.tuples is not None and not isinstance(self.tuples, PackedTuples):
+            self.tuples = PackedTuples(self.tuples)
 
     @property
     def blocker_count(self) -> int:

@@ -20,6 +20,7 @@ from hatlab.blockers import (
     family_from_json,
     family_to_json,
     k_sequence,
+    PackedTuples,
     min_graph_blocker,
     union_measure,
     verify_blocker,
@@ -417,6 +418,27 @@ def test_construct_rejects_negative_stall_limit():
     with pytest.raises(ValueError, match="stall_limit"):
         construct_blockers(8, seed=1, delta=0.15, stall_limit=-5)
     assert not construct_blockers(8, seed=1, delta=0.15, stall_limit=0).stalled
+
+
+# --- packed tuples ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12)), ((5,), (0,)), ((), (), ()), ()],
+    ids=["width-3", "width-1", "width-0", "empty"],
+)
+def test_packed_tuples_behave_like_tuple_of_tuples(rows):
+    packed = PackedTuples(rows)
+    assert tuple(packed) == rows
+    assert len(list(packed)) == len(packed) == len(rows)
+    assert packed == rows and packed == PackedTuples(rows)
+    assert repr(packed) == repr(rows)
+    for sl in (slice(None), slice(1, None), slice(None, None, -1), slice(0, 3, 2)):
+        assert packed[sl] == rows[sl]
+    assert [packed[i] for i in range(-len(rows), len(rows))] == [
+        rows[i] for i in range(-len(rows), len(rows))
+    ]
 
 
 # --- serialization ----------------------------------------------------------
