@@ -254,10 +254,10 @@ def exact_p(
     (t=2, n <= 3 for the three standard kinds); t=3 (n=2) and t=2 spaces of
     up to 4^16 tables (the n=4 dictator kind, about 30 s) run behind
     allow_slow. Larger t=2 spaces, such as the n=4 intersecting and
-    monotone kinds, raise UnsupportedSizeError. Within these budgets the last player's table has
-    at most 16 entries, so the walk's score table (one byte per union of
-    entries) is at most 64 KiB. `threads` has no effect; it stays while
-    `perfbench/workloads.py` passes it.
+    monotone kinds, raise UnsupportedSizeError. Within these budgets the
+    last player's table has at most 16 entries, so the walk's score table
+    (one byte per union of entries) is at most 64 KiB. `threads` has no
+    effect; it stays while `perfbench/workloads.py` passes it.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got t={t}")
