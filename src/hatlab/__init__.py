@@ -20,7 +20,6 @@ from .blockers import (
 )
 from .errors import (
     HatlabError,
-    MalformedPartitionError,
     MalformedStrategyError,
     UnsupportedSizeError,
 )
@@ -54,7 +53,6 @@ from .randomsub import (
     epsilon_gap,
 )
 from .solver import (
-    PartitionView,
     SolveResult,
     best_response_value,
     dominance_chain,
@@ -68,7 +66,6 @@ __all__ = [
     "BlockerFamily",
     "Graph",
     "MisResult",
-    "PartitionView",
     "PointSet",
     "SolveResult",
     "Strategy",
@@ -77,7 +74,6 @@ __all__ = [
     "HatlabError",
     "UnsupportedSizeError",
     "MalformedStrategyError",
-    "MalformedPartitionError",
     "alpha_star_star_exact",
     "alpha_star_star_mc",
     "base_blockers",

@@ -485,10 +485,14 @@ def _index_list(value, bits: int, what: str) -> list[int]:
 
 
 def family_from_json(text: str) -> BlockerFamily:
-    """Inverse of family_to_json; a malformed document, one that holds both
-    blockers and product, blockers that share a point, or a beta that is not
-    the union measure of its blockers, raises ValueError."""
-    doc = json.loads(text)
+    """Inverse of family_to_json; a malformed document, one nested too deeply
+    to decode, one that holds both blockers and product, blockers that share
+    a point, or a beta that is not the union measure of its blockers, raises
+    ValueError."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("the blocker family JSON is nested too deeply to decode") from None
     if not isinstance(doc, dict):
         raise ValueError("a blocker family document must be a JSON object")
     missing = [key for key in ("t", "n", "k", "beta") if key not in doc]

@@ -15,7 +15,3 @@ class UnsupportedSizeError(HatlabError):
 
 class MalformedStrategyError(HatlabError):
     """A strategy's tables do not match the game's (t, n, family) shape."""
-
-
-class MalformedPartitionError(HatlabError):
-    """Partition cells are not disjoint or do not cover the ground set."""

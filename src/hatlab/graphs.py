@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 import struct
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -197,6 +199,22 @@ class MisResult:
             out.append((m & -m).bit_length() - 1)
             m &= m - 1
         return tuple(out)
+
+
+@contextmanager
+def _recursion_room(pool: int):
+    """Raise the recursion limit by two frames per vertex of pool, for one search.
+
+    Each search recurses once per branch level, and each level takes a vertex
+    out of the pool; `_mis_search`'s lane path spends two frames on a level.
+    A core of about 1000 vertices would otherwise pass the default limit.
+    """
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(old + 2 * pool.bit_count() + 16)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def _cover_rest(adj: tuple[int, ...], pool: int, k: int) -> int:
@@ -411,7 +429,8 @@ def max_independent_set(g: Graph) -> MisResult:
             f"exact MIS supports up to {MAX_MIS_VERTICES} vertices, got {g.vcount}; "
             "use a sampling lower bound instead"
         )
-    size, set_bits, nodes = _mis_search(g.adj, g.eligible)
+    with _recursion_room(g.eligible):
+        size, set_bits, nodes = _mis_search(g.adj, g.eligible)
     _verify_independent(g, set_bits)
     return MisResult(
         set_bits=set_bits,
@@ -499,7 +518,9 @@ def _mis_size_node(adj: tuple[int, ...], p: int, size: int, best: int | None) ->
 
 def mis_size_in_subset(g: Graph, subset: int) -> int:
     """Size of the largest independent set using only vertices in `subset`."""
-    return _mis_size(g.adj, subset & g.eligible)
+    pool = subset & g.eligible
+    with _recursion_room(pool):
+        return _mis_size(g.adj, pool)
 
 
 def mis_size_all_subsets(g: Graph) -> bytes:
@@ -582,7 +603,8 @@ def inclusion_maximal_independent_sets(g: Graph) -> list[int]:
             p &= ~(1 << v)
             x |= 1 << v
 
-    bk(0, eligible, 0)
+    with _recursion_room(eligible):
+        bk(0, eligible, 0)
     return sorted(out)
 
 
@@ -610,7 +632,8 @@ def maximum_independent_sets(g: Graph) -> list[int]:
         rec(p & ~adj[v] & ~(1 << v), size + 1, chosen | (1 << v))
         rec(p & ~(1 << v), size, chosen)
 
-    rec(pool, 0, 0)
+    with _recursion_room(pool):
+        rec(pool, 0, 0)
     return sorted(out)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import MalformedPartitionError, UnsupportedSizeError
+from .errors import MalformedStrategyError, UnsupportedSizeError
 from .game import (
     Strategy,
     WinningFamily,
@@ -41,34 +41,6 @@ class SolveResult:
     work: int
 
 
-@dataclass(frozen=True)
-class PartitionView:
-    """The partition of player 1's space induced by a fixed player-2 table.
-
-    cells[i] is the bitmask of points x with f_2(x) = i.
-    """
-
-    n: int
-    cells: tuple[int, ...]
-
-    def validate(self) -> None:
-        full = (1 << (1 << self.n)) - 1
-        seen = 0
-        for c in self.cells:
-            if c & seen:
-                raise MalformedPartitionError("partition cells overlap")
-            seen |= c
-        if seen != full:
-            raise MalformedPartitionError("partition cells do not cover the ground set")
-
-
-def partition_from_table(table: tuple[int, ...], r: int, n: int) -> PartitionView:
-    cells = [0] * r
-    for x, i in enumerate(table):
-        cells[i] |= 1 << x
-    return PartitionView(n=n, cells=tuple(cells))
-
-
 class _Argmax(dict):
     """Memoised best mask against a union: best[u] = (max popcount(w & u), its lowest index)."""
 
@@ -87,14 +59,18 @@ class _Argmax(dict):
 
 
 def _best_response(
-    cells: tuple[int, ...] | list[int], members: list[tuple[int, ...]], best: _Argmax
+    table: tuple[int, ...], r: int, members: list[tuple[int, ...]], best: _Argmax
 ) -> tuple[int, list[int]]:
-    """Pointwise-optimal response to the last player's cells.
+    """Pointwise-optimal response to the last player's table.
 
-    For each point x the last player wins exactly on the union of the cells of
-    the members containing x (members[x]). Returns the summed best counts and
-    the picked mask index per x.
+    cells[i] holds the entries of `table` that name member i. For each point x
+    the last player wins exactly on the union of the cells of the members
+    containing x (members[x]). Returns the summed best counts and the picked
+    mask index per x.
     """
+    cells = [0] * r
+    for e, i in enumerate(table):
+        cells[i] |= 1 << e
     total = 0
     picks = []
     for mem in members:
@@ -131,7 +107,7 @@ def _score_table(masks: tuple[int, ...] | list[int], entries: int) -> bytes:
 
 
 def _scan_last_player(
-    r: int, entries: int, members: list[tuple[int, ...]], best: _Argmax
+    r: int, entries: int, members: list[tuple[int, ...]], wins: list[int]
 ) -> tuple[int, tuple[int, ...]]:
     """The first last-player table, in product order, with the best best-response total.
 
@@ -143,9 +119,8 @@ def _scan_last_player(
     """
     holders = [[x for x, mem in enumerate(members) if i in mem] for i in range(r)]
     # a mask inside another never scores more, so the walk scores maximal masks only
-    masks = best.masks
     score = _score_table(
-        [w for w in masks if not any(w != v and w | v == v for v in masks)], entries
+        [w for w in wins if not any(w != v and w | v == v for v in wins)], entries
     )
     hmax = max(map(len, holders))
     state = [-1, None]
@@ -186,20 +161,19 @@ def _descend(
             u[x] ^= bit
 
 
-def best_response_value(partition: PartitionView, family: WinningFamily) -> Fraction:
-    """Expected optimal-response success for a fixed player-2 partition (t=2)."""
-    if partition.n != family.n:
-        raise MalformedPartitionError(
-            f"partition n={partition.n} does not match family n={family.n}"
+def best_response_value(table: tuple[int, ...], family: WinningFamily) -> Fraction:
+    """Player 1's best-response success against player 2's table (t=2).
+
+    table[x] is the member player 2 names on seeing player 1's point x.
+    """
+    n, r = family.n, family.r
+    if len(table) != 1 << n or not all(0 <= i < r for i in table):
+        raise MalformedStrategyError(
+            f"a player-2 table needs 2^{n} entries in [0, {r}); got {len(table)} entries"
         )
-    if len(partition.cells) != family.r:
-        raise MalformedPartitionError(
-            f"partition has {len(partition.cells)} cells, family has r={family.r}"
-        )
-    partition.validate()
-    members = [family.indices_containing(x) for x in range(1 << family.n)]
-    total, _ = _best_response(partition.cells, members, _Argmax(family.sets))
-    return Fraction(total, 1 << (2 * family.n))
+    members = [family.indices_containing(x) for x in range(1 << n)]
+    total, _ = _best_response(table, r, members, _Argmax(family.sets))
+    return Fraction(total, 1 << (2 * n))
 
 
 def _exact_last_player(family: WinningFamily, t: int) -> SolveResult:
@@ -217,11 +191,9 @@ def _exact_last_player(family: WinningFamily, t: int) -> SolveResult:
         reps.setdefault(winning_set(inner, family).bits, tables)
     wins = sorted(reps)
     members = [family.indices_containing(x) for x in range(1 << n)]
-    best = _Argmax(wins)
-    total, table = _scan_last_player(r, entries, members, best)
-    cells = partition_from_table(table, r, n * (t - 1)).cells
+    total, table = _scan_last_player(r, entries, members, wins)
     rebuilt = [[0] * entries for _ in range(t - 1)]
-    for xt, wi in enumerate(_best_response(cells, members, best)[1]):
+    for xt, wi in enumerate(_best_response(table, r, members, _Argmax(wins))[1]):
         for j, inner_table in enumerate(reps[wins[wi]]):
             for seen, choice in enumerate(inner_table):
                 rebuilt[j][seen << n | xt] = choice
@@ -361,8 +333,7 @@ def local_search_p(
         layout.append((1 << s, size << s, bases))
 
     def ascend(restart: int) -> tuple[int, list[list[int]], int]:
-        drawn = random_strategy(family, t, stream_rng(seed, restart))
-        tables = list(map(list, drawn.tables))
+        tables = list(map(list, random_strategy(family, t, stream_rng(seed, restart)).tables))
         strings = []
         for table, (step, span, bases) in zip(tables, layout):
             own = bytearray(total)
@@ -397,8 +368,13 @@ def local_search_p(
             if not changed:
                 return wins, tables, sweeps
 
-    results = [ascend(restart) for restart in range(restarts)]
-    wins, tables, _ = max(results, key=lambda res: res[0])  # the first best
+    # keep only the first best restart's tables, not every restart's
+    wins, tables, work = -1, None, 0
+    for restart in range(restarts):
+        got, got_tables, sweeps = ascend(restart)
+        work += sweeps
+        if got > wins:
+            wins, tables = got, got_tables
     witness = Strategy(n=n, t=t, tables=tuple(map(tuple, tables)))
     value = Fraction(wins, 1 << (n * t))
     check = success_probability(witness, family)
@@ -410,7 +386,7 @@ def local_search_p(
         value=value,
         witness=witness,
         method="local-search",
-        work=sum(r[2] for r in results),
+        work=work,
     )
 
 

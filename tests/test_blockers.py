@@ -509,6 +509,16 @@ def test_family_json_rejects_a_document_with_blockers_and_product():
         family_from_json(json.dumps(_family_doc(product=product)))
 
 
+def test_family_json_rejects_a_document_nested_too_deeply_to_decode():
+    # the decoder's RecursionError used to escape as a traceback
+    nested = "[" * 100_000 + "]" * 100_000
+    doc = {"t": 2, "n": 4, "k": 12, "beta": "3/8",
+           "product": {"base": "complement-pairs", "tuples": "nested"}}
+    for text in (nested, json.dumps(doc).replace('"nested"', nested)):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            family_from_json(text)
+
+
 def test_family_json_rejects_point_index_out_of_range():
     family_from_json(json.dumps(_family_doc()))  # the unmodified document decodes
     # 999999 used to be masked into a different point of B^2

@@ -99,6 +99,12 @@ def test_alpha_power_of_one_vertex_is_the_vertex():
     )
 
 
+def test_alpha_on_a_core_over_1000_vertices_exits_0():
+    # the search recurses once per branch level; this exited 1 with RecursionError
+    doc = payload("alpha", "--graph", "gnp:1200:0.98:1")
+    assert (doc["result"]["alpha"], doc["result"]["nodes_explored"]) == (4, 2559)
+
+
 # --- alphastar --------------------------------------------------------------
 
 
@@ -575,6 +581,22 @@ def test_blocker_verify_product_tuple_with_a_repeated_point_exits_2(tmp_path):
     assert res.stderr == (
         "hatlab: a product tuple must hold 12/2 distinct points, got [1, 1, 2, 3, 4, 5, 6]\n"
     )
+
+
+@pytest.mark.parametrize("where", ["whole-file", "product-tuples"])
+def test_blocker_verify_over_nested_family_file_exits_2(tmp_path, where):
+    # too deep for the JSON decoder: this exited 1 with a RecursionError traceback
+    nested = "[" * 100_000 + "]" * 100_000
+    text = nested if where == "whole-file" else (
+        '{"t": 2, "n": 4, "k": 12, "beta": "3/8", '
+        f'"product": {{"base": "complement-pairs", "tuples": {nested}}}}}'
+    )
+    f = tmp_path / "fam.json"
+    f.write_text(text)
+    res = run_cli("blocker", "verify", "--file", str(f))
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert res.stderr == "hatlab: the blocker family JSON is nested too deeply to decode\n"
 
 
 @pytest.mark.parametrize("base", ["other", None], ids=["other", "missing"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,6 +24,7 @@ from hatlab.graphs import (
     graph_to_text,
     hamming_power,
     hamming_product,
+    inclusion_maximal_independent_sets,
     kneser,
     max_independent_set,
     maximum_independent_sets,
@@ -477,8 +479,6 @@ def test_mis_size_in_subset_consistent():
 
 
 def test_inclusion_maximal_independent_sets():
-    from hatlab.graphs import inclusion_maximal_independent_sets
-
     # brute-force oracle on small graphs
     for g in (kneser(2), shift_graph(3), complete_graph(4), random_graph(9, 0.4, 6)):
         expected = []
@@ -506,8 +506,6 @@ def test_inclusion_maximal_independent_sets():
 def test_maximal_vs_maximum_counts_shift4():
     # every maximum set is maximal but not conversely; at m=4 the maximum
     # family has 16 members while inclusion-maximal sets are strictly more
-    from hatlab.graphs import inclusion_maximal_independent_sets
-
     g = shift_graph(4)
     maximal = inclusion_maximal_independent_sets(g)
     maximum = maximum_independent_sets(g)
@@ -529,8 +527,6 @@ def test_maximum_independent_sets_enumeration():
 @pytest.mark.parametrize("which", ["maximum", "maximal"])
 def test_enumerations_refuse_more_sets_than_the_cap(which, monkeypatch):
     # shift(4) has 16 maximum independent sets and more maximal ones
-    from hatlab.graphs import inclusion_maximal_independent_sets
-
     enumerate_sets = {
         "maximum": maximum_independent_sets,
         "maximal": inclusion_maximal_independent_sets,
@@ -656,6 +652,25 @@ def test_subset_dp_closed_forms(kind, vcount):
 def test_mis_budget():
     with pytest.raises(UnsupportedSizeError):
         max_independent_set(Graph(5000, (0,) * 5000, (False,) * 5000, "big"))
+
+
+@pytest.mark.parametrize(
+    "search,expected",
+    [
+        (lambda: len(maximum_independent_sets(complete_graph(1500))), 1500),
+        (lambda: inclusion_maximal_independent_sets(edgeless_graph(1100)), [(1 << 1100) - 1]),
+        (lambda: mis_size_in_subset(random_graph(1100, 0.98, 1), (1 << 1100) - 1), 4),
+    ],
+    ids=["maximum-sets", "maximal-sets", "size-in-subset"],
+)
+def test_searches_recurse_past_the_default_limit_on_cores_over_1000_vertices(
+    search, expected
+):
+    # each search recurses once per branch level, about once per vertex here;
+    # these raised RecursionError under the default limit of 1000
+    limit = sys.getrecursionlimit()
+    assert search() == expected
+    assert sys.getrecursionlimit() == limit
 
 
 # --- io ---------------------------------------------------------------------

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hatlab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "hatlab"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
@@ -42,9 +43,15 @@ def test_package_imports_only_the_standard_library(path):
             assert name.partition(".")[0] in allowed, f"{path.name} imports {name}"
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_every_imported_name_is_used(module):
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+# the package's modules by name, then the test files as tests/<file>
+CHECKED = [PACKAGE / f"{module}.py" for module in MODULES] + sorted(TESTS.glob("*.py"))
+
+
+@pytest.mark.parametrize(
+    "path", CHECKED, ids=lambda p: p.stem if p.parent == PACKAGE else f"tests/{p.name}"
+)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text())
     imported = {
         alias.asname or alias.name.partition(".")[0]
         for node in ast.walk(tree)

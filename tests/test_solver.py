@@ -13,12 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hatlab.errors import MalformedPartitionError, UnsupportedSizeError
+from hatlab.errors import MalformedStrategyError, UnsupportedSizeError
 from hatlab.game import enumerate_family, success_probability
 from hatlab.graphs import hamming_power, kneser, max_independent_set
 from hatlab.solver import (
-    PartitionView,
-    _Argmax,
     _descend,
     _scan_last_player,
     _score_table,
@@ -26,7 +24,6 @@ from hatlab.solver import (
     dominance_chain,
     exact_p,
     local_search_p,
-    partition_from_table,
 )
 
 from local_search_reference import reference_local_search
@@ -83,13 +80,11 @@ def test_one_player_all_kinds(kind):
 
 def test_best_response_single_cell_n1():
     fam = enumerate_family("dictator", 1)
-    part = PartitionView(n=1, cells=(0b11,))
-    assert best_response_value(part, fam) == Fraction(1, 4)
+    assert best_response_value((0, 0), fam) == Fraction(1, 4)
 
 
 def test_best_response_constant_table_matches_definition_loop():
     fam = enumerate_family("dictator", 2)
-    part = partition_from_table((0, 0, 0, 0), fam.r, 2)
     # direct loop over x2 and both possible responses
     total = 0
     for x2 in range(4):
@@ -98,24 +93,31 @@ def test_best_response_constant_table_matches_definition_loop():
             if fam.sets[0] >> x2 & 1:  # f2(x1) = set 0 for every x1
                 reachable |= 1 << x1
         total += max((w & reachable).bit_count() for w in fam.sets)
-    assert best_response_value(part, fam) == Fraction(total, 16)
+    assert best_response_value((0, 0, 0, 0), fam) == Fraction(total, 16)
 
 
 def test_best_response_max_over_tables_equals_exact():
     fam = enumerate_family("dictator", 2)
     best = max(
-        best_response_value(partition_from_table(tb, fam.r, 2), fam)
+        best_response_value(tb, fam)
         for tb in product(range(fam.r), repeat=4)
     )
     assert best == exact_p(2, 2, "dictator").value
 
 
-def test_malformed_partitions_rejected():
-    fam = enumerate_family("dictator", 2)
-    with pytest.raises(MalformedPartitionError):
-        best_response_value(PartitionView(n=2, cells=(0b0011, 0b0110)), fam)
-    with pytest.raises(MalformedPartitionError):
-        best_response_value(PartitionView(n=2, cells=(0b0011, 0b0100)), fam)
+def test_malformed_tables_rejected():
+    fam = enumerate_family("dictator", 2)  # r = 2
+    # too short, too long, an entry at r, a negative entry
+    for table in [(0, 1, 0), (0, 1, 0, 1, 0), (0, 1, 2, 0), (0, -1, 0, 1)]:
+        with pytest.raises(MalformedStrategyError):
+            best_response_value(table, fam)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["dictator", "intersecting", "monotone"])
+def test_best_response_to_the_exact_witness_is_the_exact_value(n, kind):
+    res = exact_p(2, n, kind)
+    assert best_response_value(res.witness.tables[1], enumerate_family(kind, n)) == res.value
 
 
 # --- exact engine -----------------------------------------------------------
@@ -268,7 +270,7 @@ def tied_kernel_cases(draw):
 @given(kernel_cases())
 def test_scan_last_player_matches_plain_scan(case):
     r, entries, members, wins = case
-    assert _scan_last_player(r, entries, members, _Argmax(wins)) == plain_scan(
+    assert _scan_last_player(r, entries, members, wins) == plain_scan(
         r, entries, members, wins
     )
 
@@ -277,7 +279,7 @@ def test_scan_last_player_matches_plain_scan(case):
 @given(tied_kernel_cases())
 def test_scan_last_player_matches_plain_scan_on_ties(case):
     r, entries, members, wins = case
-    assert _scan_last_player(r, entries, members, _Argmax(wins)) == plain_scan(
+    assert _scan_last_player(r, entries, members, wins) == plain_scan(
         r, entries, members, wins
     )
 
