@@ -98,10 +98,7 @@ def test_best_response_constant_table_matches_definition_loop():
 
 def test_best_response_max_over_tables_equals_exact():
     fam = enumerate_family("dictator", 2)
-    best = max(
-        best_response_value(tb, fam)
-        for tb in product(range(fam.r), repeat=4)
-    )
+    best = max(best_response_value(tb, fam) for tb in product(range(fam.r), repeat=4))
     assert best == exact_p(2, 2, "dictator").value
 
 
