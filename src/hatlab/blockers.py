@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import reprlib
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -43,13 +44,24 @@ def k_sequence(d: int) -> int:
     return k
 
 
+# error messages quote values through this: a huge or deeply nested one stays short
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel, _QUOTE.maxlist = 2, 8
+
+
+def _quote(value) -> str:
+    """repr(value) for an error message, abbreviated to at most 60 characters."""
+    text = _QUOTE.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def parse_beta(text) -> Fraction:
     """An exact beta from "num/den" or "num"; anything else is a ValueError."""
     try:
         num, _, den = text.partition("/")
         return Fraction(int(num), int(den or 1))
     except (AttributeError, ZeroDivisionError) as exc:
-        raise ValueError(f"beta must be a fraction string, got {text!r}") from exc
+        raise ValueError(f"beta must be a fraction string, got {_quote(text)}") from exc
 
 
 def decrement_bound(k: int, beta) -> Fraction:
@@ -476,11 +488,13 @@ def family_to_json(family: BlockerFamily) -> str:
 
 
 def _index_list(value, bits: int, what: str) -> list[int]:
-    """A JSON list of integers in [0, 2^bits); anything else is a ValueError."""
-    if not isinstance(value, list) or not all(
-        type(i) is int and 0 <= i and i.bit_length() <= bits for i in value
-    ):
-        raise ValueError(f"{what} must be a list of integers in [0, 2^{bits}), got {value!r}")
+    """A JSON list of integers in [0, 2^bits); a ValueError names the first bad entry."""
+    need = f"{what} must be a list of integers in [0, 2^{bits})"
+    if not isinstance(value, list):
+        raise ValueError(f"{need}, got {_quote(value)}")
+    for pos, i in enumerate(value):
+        if not (type(i) is int and 0 <= i and i.bit_length() <= bits):
+            raise ValueError(f"{need}, but entry {pos} of {len(value)} is {_quote(i)}")
     return value
 
 
@@ -504,10 +518,14 @@ def family_from_json(text: str) -> BlockerFamily:
         raise ValueError("a blocker family document holds blockers or product, not both")
     t, n, k = doc["t"], doc["n"], doc["k"]
     if not all(type(v) is int and v >= 1 for v in (t, n, k)):
-        raise ValueError(f"t, n and k must be positive integers, got {t!r}, {n!r}, {k!r}")
+        raise ValueError(
+            f"t, n and k must be positive integers, got {_quote(t)}, {_quote(n)}, {_quote(k)}"
+        )
     if t > 2 or n > MAX_DICTATOR_N:
         # the only families built and certified here; also bounds decoding cost
-        raise ValueError(f"need t <= 2 and n <= {MAX_DICTATOR_N}, got t={t}, n={n}")
+        raise ValueError(
+            f"need t <= 2 and n <= {MAX_DICTATOR_N}, got t={_quote(t)}, n={_quote(n)}"
+        )
     beta = parse_beta(doc["beta"])
     seed = doc.get("seed")
     stalled, certified = doc.get("stalled", False), doc.get("certified", False)
@@ -533,12 +551,16 @@ def family_from_json(text: str) -> BlockerFamily:
         base = doc["product"].get("base")
         if base != "complement-pairs":
             # the only base family_to_json writes, and the one the tuples are read over
-            raise ValueError(f"a product family's base must be 'complement-pairs', got {base!r}")
+            raise ValueError(
+                f"a product family's base must be 'complement-pairs', got {_quote(base)}"
+            )
         for tp in tuples:
             _index_list(tp, n, "a product tuple")
             # a repeated point would give each product blocker more than k points
             if 2 * len(tp) != k or len(set(tp)) != len(tp):
-                raise ValueError(f"a product tuple must hold {k}/2 distinct points, got {tp!r}")
+                raise ValueError(
+                    f"a product tuple must hold {k}/2 distinct points, got {_quote(tp)}"
+                )
     family = BlockerFamily(
         t=t, n=n, k=k, beta=beta, seed=seed, blockers=blockers, tuples=tuples,
         stalled=stalled, certified=certified,

@@ -201,17 +201,16 @@ class MisResult:
 
 
 def _with_recursion_room(pool: int, search, *args):
-    """search(*args) under a recursion limit raised by two frames per vertex of pool.
+    """search(*args) under a recursion limit raised by one frame per vertex of pool.
 
-    Each search recurses once per branch level, and each level takes a vertex
-    out of the pool; `_mis_search`'s lane path spends two frames on a level.
-    A core of about 1000 vertices would otherwise pass the default limit. It
-    is a plain call, not a context manager, because alpha** Monte Carlo
-    makes thousands of searches: 0.3 against 2.3 us a call (2-core x86-64
-    host, Python 3.11).
+    Each search recurses one frame per branch level, and each level takes a
+    vertex out of the pool. A core of about 1000 vertices would otherwise
+    pass the default limit. It is a plain call, not a context manager,
+    because alpha** Monte Carlo makes thousands of searches: 0.3 against
+    2.3 us a call (2-core x86-64 host, Python 3.11).
     """
     old = sys.getrecursionlimit()
-    sys.setrecursionlimit(old + 2 * pool.bit_count() + 16)
+    sys.setrecursionlimit(old + pool.bit_count() + 16)
     try:
         return search(*args)
     finally:
@@ -308,105 +307,94 @@ def _byte_lanes(m: int) -> int:
 def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
     """Exact max independent set within pool: (size, set_bits, nodes).
 
-    Each node peels the vertices of degree 0 or 1 as `_peel` does and
-    branches on the vertex that peel picks: include it, then exclude it. A
-    node is pruned when the greedy clique cover leaves no vertex after as
-    many cliques as there is room under the incumbent (`_cover_rest`).
+    One recursive `node`, one frame per branch level, peels the vertices of
+    degree 0 or 1 as `_peel` does and branches on the vertex that peel
+    picks: include it, then exclude it. A node is pruned when the greedy
+    clique cover leaves no vertex after as many cliques as there is room
+    under the incumbent (`_cover_rest`). The root runs `_peel` and this
+    check itself, so a graph that closes there builds no lanes (for K(2)^6
+    they would take 21 ms, the whole search takes 6 ms).
 
-    The root runs `_peel`, so a graph that closes there builds no lanes (for
-    K(2)^6 they would take 21 ms, the whole search takes 6 ms). Below a root
-    that branches, and when every degree in its peeled core is at most
-    MAX_LANE_DEGREE, the nodes peel with a degree vector: one int whose byte
-    lane v holds 0x80 + deg_p(v) while v is in the pool p, and deg_p(v)
-    alone (below 0x80) once v has left it. Dropping v subtracts a
-    precomputed int, 0x80 in lane v plus one in the lane of each core
-    neighbour. Each take is a C-level search of the lanes for a 0x80 or
-    0x81 byte, resumed after the last take, and the branch vertex is the
-    first largest byte: `_peel`'s take order and branch vertex, because
-    degrees only fall. A core degree over MAX_LANE_DEGREE fits no lane, and
-    then every node runs `_peel`.
+    When every degree in the root's peeled core is at most MAX_LANE_DEGREE,
+    the nodes peel with a degree vector: one int whose byte lane v holds
+    0x80 + deg_p(v) while v is in the pool p, and deg_p(v) alone (below
+    0x80) once v has left it. Dropping v subtracts a precomputed int, 0x80
+    in lane v plus one in the lane of each core neighbour. Each take is a
+    C-level search of the lanes for a 0x80 or 0x81 byte, resumed after the
+    last take, and the branch vertex is the first largest byte: `_peel`'s
+    take order and branch vertex, because degrees only fall. A core degree
+    over MAX_LANE_DEGREE fits no lane; then drop is None and every node
+    runs `_peel`.
     """
     best_size, best_set = _greedy_lower(adj, pool)
-    nodes = 1
-
-    def settled(p: int, size: int, chosen: int) -> bool:
-        # a node with nothing left is a leaf; one the cover bound prunes is done too
-        nonlocal best_size, best_set
-        if p == 0:
-            if size > best_size:
-                best_size, best_set = size, chosen
-            return True
-        return not _cover_rest(adj, p, best_size - size)
-
-    def rec(p: int, size: int, chosen: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        p, taken, branch, branch_adj = _peel(adj, p)
-        size += taken.bit_count()
-        chosen |= taken
-        if settled(p, size, chosen):
-            return
-        rec(p & ~(branch_adj | branch), size + 1, chosen | branch)
-        rec(p ^ branch, size, chosen)
-
-    def lane_rec(p: int, deg: int, size: int, chosen: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        lanes = deg.to_bytes(width, "little")
-        start = 0
-        while True:
-            v = lanes.find(b"\x80", start)
-            w = lanes.find(b"\x81", start)
-            if w >= 0 and not 0 <= v < w:
-                v = w
-            if v < 0:
-                # start > 0 exactly when this pass took a vertex: pass again
-                if not start:
-                    break
-                start = 0
-                continue
-            # degree 0 or 1: take the vertex, drop it and its neighbour
-            low = 1 << v
-            d = adj[v] & p
-            p ^= d | low
-            chosen |= low
-            size += 1
-            deg -= drop[v]
-            if d:
-                deg -= drop[d.bit_length() - 1]
-            lanes = deg.to_bytes(width, "little")
-            start = v + 1
-        if not settled(p, size, chosen):
-            lane_branch(lanes.index(max(lanes)), p, deg, size, chosen)
-
-    def lane_branch(v: int, p: int, deg: int, size: int, chosen: int) -> None:
-        # include v (drop its closed neighbourhood), then exclude it
-        low = 1 << v
-        nbrs = adj[v] & p
-        deg -= drop[v]
-        inc = deg
-        m = nbrs
-        while m:
-            u = m.bit_length() - 1
-            m ^= 1 << u
-            inc -= drop[u]
-        lane_rec(p & ~(nbrs | low), inc, size + 1, chosen | low)
-        lane_rec(p ^ low, deg, size, chosen)
-
-    core, taken, branch, branch_adj = _peel(adj, pool)
+    core, taken, _, _ = _peel(adj, pool)
     size = taken.bit_count()
-    if settled(core, size, taken):
-        return best_size, best_set, nodes
+    if not _cover_rest(adj, core, best_size - size):
+        # a leaf, or pruned: a nonempty core is pruned only below the incumbent
+        if size > best_size:
+            best_size, best_set = size, taken
+        return best_size, best_set, 1
     width = core.bit_length()
     verts = [v for v in range(width) if core >> v & 1]
-    if max((adj[v] & core).bit_count() for v in verts) > MAX_LANE_DEGREE:
-        rec(core & ~(branch_adj | branch), size + 1, taken | branch)
-        rec(core ^ branch, size, taken)
-        return best_size, best_set, nodes
-    drop = [0] * width
-    for v in verts:
-        drop[v] = _byte_lanes(adj[v] & core) + (0x80 << 8 * v)
-    lane_branch(branch.bit_length() - 1, core, sum(drop), size, taken)
+    drop = None
+    if max((adj[v] & core).bit_count() for v in verts) <= MAX_LANE_DEGREE:
+        drop = [0] * width
+        for v in verts:
+            drop[v] = _byte_lanes(adj[v] & core) + (0x80 << 8 * v)
+    nodes = 0
+
+    def node(p: int, deg: int, size: int, chosen: int) -> None:
+        nonlocal best_size, best_set, nodes
+        nodes += 1
+        if drop is None:
+            p, taken, branch, _ = _peel(adj, p)
+            size += taken.bit_count()
+            chosen |= taken
+        else:
+            lanes = deg.to_bytes(width, "little")
+            start = 0
+            while True:
+                v = lanes.find(b"\x80", start)
+                w = lanes.find(b"\x81", start)
+                if w >= 0 and not 0 <= v < w:
+                    v = w
+                if v < 0:
+                    # start > 0 exactly when this pass took a vertex: pass again
+                    if not start:
+                        break
+                    start = 0
+                    continue
+                # degree 0 or 1: take the vertex, drop it and its neighbour
+                low = 1 << v
+                d = adj[v] & p
+                p ^= d | low
+                chosen |= low
+                size += 1
+                deg -= drop[v]
+                if d:
+                    deg -= drop[d.bit_length() - 1]
+                lanes = deg.to_bytes(width, "little")
+                start = v + 1
+        if not _cover_rest(adj, p, best_size - size):
+            if size > best_size:
+                best_size, best_set = size, chosen
+            return
+        # include v (drop its closed neighbourhood), then exclude it
+        v = branch.bit_length() - 1 if drop is None else lanes.index(max(lanes))
+        low = 1 << v
+        nbrs = adj[v] & p
+        inc = deg
+        if drop is not None:
+            inc = deg = deg - drop[v]
+            m = nbrs
+            while m:
+                inc -= drop[(m & -m).bit_length() - 1]
+                m &= m - 1
+        node(p & ~(nbrs | low), inc, size + 1, chosen | low)
+        node(p ^ low, deg, size, chosen)
+
+    # node 1 is the root again: its core peels nothing more and passes the same check
+    node(core, 0 if drop is None else sum(drop), size, taken)
     return best_size, best_set, nodes
 
 
@@ -466,28 +454,17 @@ def _min_degree_greedy(adj: tuple[int, ...], pool: int) -> tuple[int, int]:
     return chosen.bit_count(), chosen
 
 
-def _mis_size(adj: tuple[int, ...], pool: int) -> int:
-    """Size of a maximum independent set within pool.
-
-    `_mis_search` keeps its tree because `max_independent_set` returns its set
-    and node count, which `hatlab alpha` prints and tests pin. This search
-    returns only the size, so it is free to branch differently: it walks
-    fewer nodes on the shallow subset searches of alpha** Monte Carlo. Both
-    use `_cover_rest`. This one runs `_peel` at every node, without
-    `_mis_search`'s lane degree vector: its pools are small and peel few
-    vertices, so the lanes cost more to set up than they save (on the
-    alpha** draws, `K(3)^2` went from 0.08 to 0.12 s). The root is one
-    `_mis_size_node` call with no incumbent yet.
-    """
-    return _mis_size_node(adj, pool, 0, None)
-
-
 def _mis_size_node(adj: tuple[int, ...], p: int, size: int, best: int | None) -> int:
-    """One node of `_mis_size`: the best size found so far, this subtree included.
+    """max(best, size + alpha of p): `_mis_size_node(adj, pool, 0, None)` is alpha of pool.
 
-    It runs `_peel` as `_mis_search` does. At the root (best is None) the
-    incumbent is then the peeled vertices plus `_min_degree_greedy` on the
-    core they leave: run on the raw pool, the greedy costs more than it
+    Unlike `_mis_search`, whose set and node count `hatlab alpha` prints and
+    tests pin, this size-only search is free to branch differently, and it
+    walks fewer nodes on the shallow subset searches of alpha** Monte Carlo.
+    It runs `_peel` at every node, without lanes: its pools are small and
+    peel few vertices, so lanes cost more to set up than they save (on the
+    alpha** draws, `K(3)^2` went from 0.08 to 0.12 s). At the root (best is
+    None) the incumbent is the peeled vertices plus `_min_degree_greedy` on
+    the core they leave: run on the raw pool, the greedy costs more than it
     saves. The greedy clique cover then takes `best - size` cliques; an
     improving set needs a vertex of what they leave over, B (`_cover_rest`).
     Empty B prunes. When B has at most two vertices, the node branches once
@@ -519,7 +496,7 @@ def _mis_size_node(adj: tuple[int, ...], p: int, size: int, best: int | None) ->
 def mis_size_in_subset(g: Graph, subset: int) -> int:
     """Size of the largest independent set using only vertices in `subset`."""
     pool = subset & g.eligible
-    return _with_recursion_room(pool, _mis_size, g.adj, pool)
+    return _with_recursion_room(pool, _mis_size_node, g.adj, pool, 0, None)
 
 
 def mis_size_all_subsets(g: Graph) -> bytes:
@@ -613,7 +590,7 @@ def maximum_independent_sets(g: Graph) -> list[int]:
     adj = g.adj
     out: list[int] = []
 
-    def rec(p: int, size: int, chosen: int) -> None:
+    def node(p: int, size: int, chosen: int) -> None:
         if size + p.bit_count() < alpha:
             return
         if size == alpha:
@@ -627,10 +604,10 @@ def maximum_independent_sets(g: Graph) -> list[int]:
         if not _cover_rest(adj, p, alpha - size - 1):
             return
         v = (p & -p).bit_length() - 1
-        rec(p & ~adj[v] & ~(1 << v), size + 1, chosen | (1 << v))
-        rec(p & ~(1 << v), size, chosen)
+        node(p & ~adj[v] & ~(1 << v), size + 1, chosen | (1 << v))
+        node(p & ~(1 << v), size, chosen)
 
-    _with_recursion_room(pool, rec, pool, 0, 0)
+    _with_recursion_room(pool, node, pool, 0, 0)
     return sorted(out)
 
 

@@ -580,6 +580,33 @@ def test_family_json_rejects_missing_key(key):
         family_from_json(json.dumps(doc))
 
 
+def _product_doc(base="complement-pairs", tuples=([3, 5, 6, 9, 10, 12],)) -> dict:
+    return {"t": 2, "n": 4, "k": 12, "beta": "3/8",
+            "product": {"base": base, "tuples": list(tuples)}}
+
+
+# (document, what its error must say), each holding one value thousands of characters long
+HUGE_VALUE_DOCS = {
+    "blocker-entry": (_family_doc(blockers=[[0] * 100_000 + [256]]),
+                      "entry 100000 of 100001 is 256"),
+    "product-tuple": (_product_doc(tuples=[list(range(16)) * 4096]),
+                      "must hold 12/2 distinct points"),
+    "beta": (_family_doc(beta=list(range(100_000))), "beta must be a fraction string"),
+    "base": (_product_doc(base="x" * 100_000), "base must be 'complement-pairs'"),
+    "t": (_family_doc(t="x" * 100_000), "t, n and k must be positive integers"),
+    "t-digits": (_family_doc(t=10**4000), "need t <= 2"),
+}
+
+
+@pytest.mark.parametrize("name", list(HUGE_VALUE_DOCS))
+def test_family_json_errors_do_not_echo_a_huge_value(name):
+    # each message used to echo the whole value, up to 688,948 characters
+    doc, what = HUGE_VALUE_DOCS[name]
+    with pytest.raises(ValueError, match=what) as info:
+        family_from_json(json.dumps(doc))
+    assert len(str(info.value)) < 300
+
+
 # --- graph blockers ---------------------------------------------------------
 
 

@@ -583,6 +583,20 @@ def test_blocker_verify_product_tuple_with_a_repeated_point_exits_2(tmp_path):
     )
 
 
+def test_blocker_verify_names_the_bad_entry_of_a_long_blocker_and_exits_2(tmp_path):
+    # the message used to echo all 100,001 entries, 688,948 characters
+    doc = {"t": 2, "n": 4, "k": 2, "beta": "1/128", "blockers": [[0] * 100_000 + [256]]}
+    f = tmp_path / "fam.json"
+    f.write_text(json.dumps(doc))
+    res = run_cli("blocker", "verify", "--file", str(f))
+    assert res.returncode == 2, res.stderr[:300]
+    assert res.stdout == ""
+    assert res.stderr == (
+        "hatlab: a blocker must be a list of integers in [0, 2^8), "
+        "but entry 100000 of 100001 is 256\n"
+    )
+
+
 @pytest.mark.parametrize("where", ["whole-file", "product-tuples"])
 def test_blocker_verify_over_nested_family_file_exits_2(tmp_path, where):
     # too deep for the JSON decoder: this exited 1 with a RecursionError traceback

@@ -16,6 +16,8 @@ from hatlab.game import stream_rng
 from hatlab.graphs import (
     MAX_PRODUCT_VERTICES,
     Graph,
+    _mis_search,
+    _peel,
     complete_graph,
     edgeless_graph,
     graph_from_bytes,
@@ -33,6 +35,8 @@ from hatlab.graphs import (
     random_graph,
     shift_graph,
 )
+
+from mis_search_reference import reference_mis_search
 
 # gnp(8, 0.5, 42), frozen from the first run of the seeded generator
 GNP_8_05_42_EDGES = [
@@ -589,6 +593,48 @@ def test_mis_search_tree_pinned(spec, size, nodes, digest):
     res = max_independent_set(_pinned_graph(spec))
     assert (res.size, res.nodes_explored) == (size, nodes)
     assert hashlib.sha256(hex(res.set_bits).encode()).hexdigest() == digest
+
+
+def _hub(d: int) -> Graph:
+    """Vertex 0 meets every other; 1..5 form a 5-cycle, 6..d triangles and one smaller clique.
+
+    Nothing peels, so the core is the whole graph and its top degree is d, at
+    vertex 0. The 5-cycle leaves the clique cover one over alpha: the root branches.
+    """
+    adj = [0] * (d + 1)
+    blocks = [range(1, 6)] + [range(s, min(s + 3, d + 1)) for s in range(6, d + 1, 3)]
+    for block in blocks:
+        for u in block:
+            for v in block:
+                if u != v and (len(block) < 5 or abs(u - v) in (1, 4)):
+                    adj[u] |= 1 << v
+    for v in range(1, d + 1):
+        adj[0] |= 1 << v
+        adj[v] |= 1
+    return Graph(d + 1, tuple(adj), (False,) * (d + 1), f"hub({d})")
+
+
+@pytest.mark.parametrize("d,lanes", [(127, True), (128, False)])
+def test_mis_search_at_the_lane_width_boundary(d, lanes, monkeypatch):
+    # a lane holds 0x80 + degree in one byte: 127 still fits, 128 sends every node to _peel
+    g = _hub(d)
+    core = _peel(g.adj, g.eligible)[0]
+    assert core == g.eligible and max(g.degree(v) for v in range(g.vcount)) == d
+    built = []
+    real = graphs_module._byte_lanes
+    monkeypatch.setattr(graphs_module, "_byte_lanes", lambda m: built.append(m) or real(m))
+    got = _mis_search(g.adj, g.eligible)
+    assert got == reference_mis_search(g.adj, g.eligible) and got[2] > 1
+    assert bool(built) == lanes
+
+
+@pytest.mark.parametrize("spec", ["kneser:2^6", "kneser:4"])
+def test_mis_search_that_closes_at_the_root_builds_no_lanes(spec, monkeypatch):
+    def refuse(m):
+        raise AssertionError("lanes built for a root that closes")
+
+    monkeypatch.setattr(graphs_module, "_byte_lanes", refuse)
+    assert max_independent_set(_pinned_graph(spec)).nodes_explored == 1
 
 
 # (sum of sizes, nodes of the size-only search) over the subsets

@@ -30,7 +30,6 @@ from hatlab.graphs import (
     _cover_rest,
     _min_degree_greedy,
     _mis_search,
-    _mis_size,
     _peel,
     graph_from_bytes,
     graph_from_text,
@@ -242,7 +241,7 @@ def test_mis_size_matches_mis_search_and_branches_both_ways():
         with mock.patch.object(graphs_module, "_mis_size_node", counting):
             for _ in range(10):
                 pool = rng.getrandbits(g.vcount) & g.eligible
-                assert _mis_size(g.adj, pool) == _mis_search(g.adj, pool)[0]
+                assert mis_size_in_subset(g, pool) == _mis_search(g.adj, pool)[0]
 
     check()
     assert rules["binary"] > 0 and rules["multiway"] > 0, rules
