@@ -596,7 +596,7 @@ def test_mis_search_tree_pinned(spec, size, nodes, digest):
 
 
 def _hub(d: int) -> Graph:
-    """Vertex 0 meets every other; 1..5 form a 5-cycle, 6..d triangles and one smaller clique.
+    """Vertex 0 meets every other; 1..5 form a 5-cycle, 6..d triangles (the last may be short).
 
     Nothing peels, so the core is the whole graph and its top degree is d, at
     vertex 0. The 5-cycle leaves the clique cover one over alpha: the root branches.
