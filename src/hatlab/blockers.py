@@ -51,7 +51,11 @@ _QUOTE.maxlevel, _QUOTE.maxlist = 2, 8
 
 def _quote(value) -> str:
     """repr(value) for an error message, abbreviated to at most 60 characters."""
-    text = _QUOTE.repr(value)
+    return _cut(_QUOTE.repr(value))
+
+
+def _cut(text: str) -> str:
+    """text itself when it is at most 60 characters long, else its first 57 and "..."."""
     return text if len(text) <= 60 else text[:57] + "..."
 
 
@@ -540,7 +544,7 @@ def family_from_json(text: str) -> BlockerFamily:
         blockers = []
         for flat in doc["blockers"]:
             if len(_index_list(flat, n * t, "a blocker")) != k:
-                raise ValueError(f"a blocker has {len(flat)} points, expected k={k}")
+                raise ValueError(f"a blocker has {len(flat)} points, expected k={_cut(str(k))}")
             points = tuple(tuple_from_index(i, n, t) for i in flat)
             blockers.append(Blocker(t=t, n=n, points=points))
         blockers = tuple(blockers)
@@ -559,7 +563,7 @@ def family_from_json(text: str) -> BlockerFamily:
             # a repeated point would give each product blocker more than k points
             if 2 * len(tp) != k or len(set(tp)) != len(tp):
                 raise ValueError(
-                    f"a product tuple must hold {k}/2 distinct points, got {_quote(tp)}"
+                    f"a product tuple must hold {_cut(str(k))}/2 distinct points, got {_quote(tp)}"
                 )
     family = BlockerFamily(
         t=t, n=n, k=k, beta=beta, seed=seed, blockers=blockers, tuples=tuples,
@@ -570,7 +574,7 @@ def family_from_json(text: str) -> BlockerFamily:
         raise ValueError("the blockers are not pairwise disjoint: a point lies in two of them")
     measure = Fraction(distinct, 1 << (n * t))
     if measure != beta:
-        raise ValueError(f"beta {beta} does not match the union measure {measure}")
+        raise ValueError(f"beta {_cut(str(beta))} does not match the union measure {measure}")
     return family
 
 
@@ -610,8 +614,11 @@ def min_graph_blocker(g: Graph) -> tuple[int, tuple[int, ...]]:
 
     # every set is nonempty, so one vertex per set hits them all: k <= len(sets)
     k = 0
-    while (got := extend(0, k)) is None:
-        k += 1
+    try:
+        while (got := extend(0, k)) is None:
+            k += 1
+    finally:
+        del extend
     verts = []
     while got:
         verts.append((got & -got).bit_length() - 1)

@@ -75,7 +75,6 @@ class RunRecord:
     params: dict
     seed: int | None
     result: dict
-    version: str = __version__
 
     def to_json(self) -> str:
         # wall time varies run to run, so it stays out of the payload
@@ -83,7 +82,7 @@ class RunRecord:
             "command": self.command,
             "params": self.params,
             "seed": self.seed,
-            "version": self.version,
+            "version": __version__,
             "result": self.result,
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -129,7 +128,7 @@ def parse_graph_spec(spec: str, power: int = 1) -> Graph:
             g = random_graph(int(args[0]), float(args[1]), int(args[2]))
         else:
             raise ValueError(f"unknown graph kind {head!r}")
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"bad graph spec {spec!r} "
             "(use kneser:N, shift:M, complete:M, edgeless:M or gnp:N:P:SEED)"
@@ -394,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedSizeError as exc:
         print(f"hatlab: unsupported size: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (argparse.ArgumentTypeError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (argparse.ArgumentTypeError, ValueError, OSError) as exc:
         print(f"hatlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
     wall = time.monotonic() - started

@@ -394,7 +394,10 @@ def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
         node(p ^ low, deg, size, chosen)
 
     # node 1 is the root again: its core peels nothing more and passes the same check
-    node(core, 0 if drop is None else sum(drop), size, taken)
+    try:
+        node(core, 0 if drop is None else sum(drop), size, taken)
+    finally:
+        del node  # node reaches itself through this scope: break the cycle
     return best_size, best_set, nodes
 
 
@@ -562,7 +565,6 @@ def inclusion_maximal_independent_sets(g: Graph) -> list[int]:
                 )
             return
         px = p | x
-        pivot = (px & -px).bit_length() - 1
         best = -1
         m = px
         while m:
@@ -579,7 +581,10 @@ def inclusion_maximal_independent_sets(g: Graph) -> list[int]:
             p &= ~(1 << v)
             x |= 1 << v
 
-    _with_recursion_room(eligible, bk, 0, eligible, 0)
+    try:
+        _with_recursion_room(eligible, bk, 0, eligible, 0)
+    finally:
+        del bk
     return sorted(out)
 
 
@@ -607,7 +612,10 @@ def maximum_independent_sets(g: Graph) -> list[int]:
         node(p & ~adj[v] & ~(1 << v), size + 1, chosen | (1 << v))
         node(p & ~(1 << v), size, chosen)
 
-    _with_recursion_room(pool, node, pool, 0, 0)
+    try:
+        _with_recursion_room(pool, node, pool, 0, 0)
+    finally:
+        del node
     return sorted(out)
 
 

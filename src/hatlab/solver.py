@@ -41,6 +41,17 @@ class SolveResult:
     work: int
 
 
+def _rechecked(
+    witness: Strategy, family: WinningFamily, wins: int, method: str, work: int
+) -> SolveResult:
+    """The result of value wins / 2^(n t), once the witness re-evaluates to it."""
+    value = Fraction(wins, 1 << (family.n * witness.t))
+    check = success_probability(witness, family)
+    if check != value:
+        raise AssertionError(f"{method} witness re-evaluates to {check}, counted {value}")
+    return SolveResult(value=value, witness=witness, method=method, work=work)
+
+
 class _Argmax(dict):
     """Memoised best mask against a union: best[u] = (max popcount(w & u), its lowest index)."""
 
@@ -198,15 +209,7 @@ def _exact_last_player(family: WinningFamily, t: int) -> SolveResult:
             for seen, choice in enumerate(inner_table):
                 rebuilt[j][seen << n | xt] = choice
     witness = Strategy(n=n, t=t, tables=(*map(tuple, rebuilt), table))
-    value = Fraction(total, 1 << (t * n))
-    check = success_probability(witness, family)
-    if check != value:
-        raise AssertionError(
-            f"t={t} witness re-evaluates to {check}, engine claimed {value}"
-        )
-    return SolveResult(
-        value=value, witness=witness, method="best-response-exact", work=r ** entries
-    )
+    return _rechecked(witness, family, total, "best-response-exact", r**entries)
 
 
 def exact_p(
@@ -221,15 +224,17 @@ def exact_p(
 
     Supported budgets: t=1 (any enumerable family) and n=1 (any t up to
     20), where every member holds half of {0,1}^n and the constant strategy
-    on member 0 is optimal; t=2 and t=3 through one bounded last-player
-    walk over r^(2^(n(t-1))) tables. Up to 70000 tables it runs freely
-    (t=2, n <= 3 for the three standard kinds); t=3 (n=2) and t=2 spaces of
-    up to 4^16 tables (the n=4 dictator kind, about 30 s) run behind
-    allow_slow. Larger t=2 spaces, such as the n=4 intersecting and
-    monotone kinds, raise UnsupportedSizeError. Within these budgets the
-    last player's table has at most 16 entries, so the walk's score table
-    (one byte per union of entries) is at most 64 KiB. `threads` has no
-    effect; it stays while `perfbench/workloads.py` passes it.
+    on member 0, which wins on (member 0)^t, is optimal; t=2 and t=3 through
+    one bounded last-player walk over r^(2^(n(t-1))) tables. Up to 70000
+    tables it runs freely (t=2, n <= 3 for the three standard kinds); t=3
+    (n=2) and t=2 spaces of up to 4^16 tables (the n=4 dictator kind, about
+    30 s) run behind allow_slow. Larger t=2 spaces, such as the n=4
+    intersecting and monotone kinds, raise UnsupportedSizeError. Within
+    these budgets the last player's table has at most 16 entries, so the
+    walk's score table (one byte per union of entries) is at most 64 KiB.
+    Every branch's value is its win count over 2^(nt), re-checked against
+    the witness in `_rechecked`. `threads` has no effect; it stays while
+    `perfbench/workloads.py` passes it.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got t={t}")
@@ -242,12 +247,8 @@ def exact_p(
         assert all(w.bit_count() == 1 << (n - 1) for w in family.sets)
         assert t == 1 or family.r == 1
         witness = constant_strategy(family, t, 0)
-        return SolveResult(
-            value=success_probability(witness, family),
-            witness=witness,
-            method="exhaustive",
-            work=family.r,
-        )
+        wins = family.sets[0].bit_count() ** t
+        return _rechecked(witness, family, wins, "exhaustive", family.r)
     if t == 2 or (t == 3 and n == 2):
         if t == 3 and not allow_slow:
             raise UnsupportedSizeError(
@@ -376,18 +377,7 @@ def local_search_p(
         if got > wins:
             wins, tables = got, got_tables
     witness = Strategy(n=n, t=t, tables=tuple(map(tuple, tables)))
-    value = Fraction(wins, 1 << (n * t))
-    check = success_probability(witness, family)
-    if check != value:
-        raise AssertionError(
-            f"local search witness re-evaluates to {check}, the ascent counted {value}"
-        )
-    return SolveResult(
-        value=value,
-        witness=witness,
-        method="local-search",
-        work=work,
-    )
+    return _rechecked(witness, family, wins, "local-search", work)
 
 
 def dominance_chain(t: int, n: int) -> tuple[Fraction, Fraction, Fraction]:

@@ -131,6 +131,25 @@ def test_blocker_rejects_points_out_of_range():
         with pytest.raises(ValueError):
             Blocker(2, 4, bad)
     Blocker(2, 4, ((0, 15), (15, 0)))  # both ends of the range are points
+    with pytest.raises(ValueError, match="distinct"):
+        Blocker(2, 4, ((1, 2), (1, 2)))
+
+
+@pytest.mark.parametrize(
+    "blocker,kind,n,error,what",
+    [
+        (Blocker(1, 4, ((15,),)), "intersecting", 4, UnsupportedSizeError, "dictator family only"),
+        (Blocker(1, 4, ((15,),)), "dictator", 3, ValueError, "does not match family n=3"),
+        (Blocker(3, 2, ((1, 2, 3),)), "dictator", 2, UnsupportedSizeError, "t in \\(1, 2\\)"),
+        # six first coordinates at n=16: 16^6 second-player tables
+        (Blocker(2, 16, tuple((x, 1) for x in range(1, 7))), "dictator", 16,
+         UnsupportedSizeError, "16777216 second-player tables exceed"),
+    ],
+    ids=["intersecting", "other-n", "t=3", "table-budget"],
+)
+def test_verify_blocker_rejects_what_it_cannot_certify(blocker, kind, n, error, what):
+    with pytest.raises(error, match=what):
+        verify_blocker(blocker, enumerate_family(kind, n))
 
 
 def test_certification_leaves_arguments_unchanged():
@@ -343,6 +362,8 @@ def test_construct_n16_window_and_class_certification():
     cert = certify_family(family, enumerate_family("dictator", 16))
     assert cert.certified
     assert cert.oracle_runs == 2 * len(family.tuples)
+    with pytest.raises(UnsupportedSizeError, match="keep the product form"):
+        family.materialize()
 
 
 def test_product_tuples_cover_every_dictator_pair():
@@ -439,6 +460,14 @@ def test_packed_tuples_behave_like_tuple_of_tuples(rows):
     assert [packed[i] for i in range(-len(rows), len(rows))] == [
         rows[i] for i in range(-len(rows), len(rows))
     ]
+    for i in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError, match="out of range"):
+            packed[i]
+
+
+def test_packed_tuples_reject_rows_of_unequal_length():
+    with pytest.raises(ValueError, match="same length"):
+        PackedTuples(((1, 2), (3,)))
 
 
 # --- serialization ----------------------------------------------------------
@@ -595,6 +624,10 @@ HUGE_VALUE_DOCS = {
     "base": (_product_doc(base="x" * 100_000), "base must be 'complement-pairs'"),
     "t": (_family_doc(t="x" * 100_000), "t, n and k must be positive integers"),
     "t-digits": (_family_doc(t=10**4000), "need t <= 2"),
+    "k-digits": (_family_doc(k=10**4000), "a blocker has 2 points, expected k=1000"),
+    "product-k-digits": (_product_doc() | {"k": 10**4000}, "must hold 1000"),
+    "beta-digits": (_family_doc(beta="1" * 4000 + "/" + "1" * 3999 + "2"),
+                    "does not match the union measure 1/128"),
 }
 
 

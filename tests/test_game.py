@@ -179,6 +179,11 @@ def test_enumeration_budget_errors(kind, n):
         enumerate_family(kind, n)
 
 
+def test_unknown_family_kind_is_a_usage_error():
+    with pytest.raises(ValueError, match="unknown family kind 'balanced'"):
+        enumerate_family("balanced", 2)
+
+
 @pytest.mark.parametrize("kind", ["dictator", "intersecting", "monotone"])
 @pytest.mark.parametrize("n", [0, -1])
 def test_non_positive_n_is_a_usage_error(kind, n):
@@ -331,3 +336,7 @@ def test_malformed_strategy_rejected():
         winning_set(Strategy(n=2, t=2, tables=((0,), (0, 0, 0, 0))), fam)
     with pytest.raises(MalformedStrategyError):
         winning_set(Strategy(n=2, t=2, tables=((5, 0, 0, 0), (0, 0, 0, 0))), fam)
+    with pytest.raises(MalformedStrategyError, match="does not match family n=2"):
+        winning_set(Strategy(n=3, t=2, tables=((0,) * 8, (0,) * 8)), fam)
+    with pytest.raises(MalformedStrategyError, match="expected 2 tables, got 1"):
+        winning_set(Strategy(n=2, t=2, tables=((0, 0, 0, 0),)), fam)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 import sys
@@ -11,6 +12,7 @@ from itertools import combinations
 import pytest
 
 from hatlab import graphs as graphs_module
+from hatlab.blockers import min_graph_blocker
 from hatlab.errors import UnsupportedSizeError
 from hatlab.game import stream_rng
 from hatlab.graphs import (
@@ -285,6 +287,9 @@ def test_shift_product_set_is_independent():
 def test_random_graph_extremes():
     assert random_graph(6, 0.0, 1).edge_count() == 0
     assert random_graph(6, 1.0, 1).edge_count() == 15
+    for p in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="need 0 <= p <= 1"):
+            random_graph(6, p, 1)
 
 
 def test_random_graph_golden_and_reproducible():
@@ -719,6 +724,30 @@ def test_searches_recurse_past_the_default_limit_on_cores_over_1000_vertices(
     assert sys.getrecursionlimit() == limit
 
 
+@pytest.mark.parametrize(
+    "search,m",
+    [
+        (max_independent_set, 6),
+        (maximum_independent_sets, 6),
+        (inclusion_maximal_independent_sets, 6),
+        (min_graph_blocker, 4),
+    ],
+    ids=["max-set", "maximum-sets", "maximal-sets", "graph-blocker"],
+)
+def test_searches_leave_no_reference_cycle(search, m):
+    # a search that calls itself through its enclosing scope keeps its state
+    # (the lane table, the listed sets) alive until a gc pass
+    g = shift_graph(m)
+    gc.collect()
+    gc.disable()
+    try:
+        search(g)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert freed == 0
+
+
 # --- io ---------------------------------------------------------------------
 
 
@@ -762,6 +791,12 @@ def test_binary_format_golden_bytes():
 def test_text_vertex_out_of_range_rejected(text):
     # either side of the colon; -1 used to index the last vertex silently
     with pytest.raises(ValueError, match="outside"):
+        graph_from_text(text)
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+def test_empty_graph_text_rejected(text):
+    with pytest.raises(ValueError, match="graph text is empty"):
         graph_from_text(text)
 
 

@@ -222,3 +222,10 @@ def test_alpha_star_star_of_empty_graph_rejected():
         alpha_star_star_exact(edgeless_graph(0))
     with pytest.raises(ValueError, match="no vertices"):
         alpha_star_star_mc(edgeless_graph(0), samples=5, seed=0)
+
+
+def test_mc_and_gap_reject_bad_arguments():
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        alpha_star_star_mc(shift_graph(4), samples=1, seed=0)
+    with pytest.raises(ValueError, match="mode must be 'exact' or 'mc', got 'fast'"):
+        epsilon_gap(shift_graph(4), mode="fast")

@@ -191,6 +191,8 @@ def test_unsupported_sizes_suggest_search():
         exact_p(2, 5, "dictator")
     with pytest.raises(UnsupportedSizeError):
         exact_p(4, 2, "dictator")
+    with pytest.raises(UnsupportedSizeError, match="t <= 20"):
+        exact_p(21, 1)
 
 
 @pytest.mark.parametrize("t", [0, -1])
@@ -408,15 +410,25 @@ def test_local_search_matches_per_point_reference(case):
     assert (res.value, res.witness.tables, res.work) == reference_local_search(*case)
 
 
-def test_local_search_count_check_fires(monkeypatch):
-    # a re-check one tuple away from the ascent's count must not pass silently
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: exact_p(1, 3),
+        lambda: exact_p(2, 2),
+        lambda: local_search_p(3, 3, "dictator", seed=5, restarts=2),
+    ],
+    ids=["forced", "walk", "local-search"],
+)
+def test_count_check_fires(monkeypatch, solve):
+    # a re-check one tuple away from the branch's count must not pass silently
     real = success_probability
     monkeypatch.setattr(
         "hatlab.solver.success_probability",
-        lambda strategy, family: real(strategy, family) + Fraction(1, 1 << 9),
+        lambda strategy, family: real(strategy, family)
+        + Fraction(1, 1 << (strategy.n * strategy.t)),
     )
     with pytest.raises(AssertionError, match="re-evaluates"):
-        local_search_p(3, 3, "dictator", seed=5, restarts=2)
+        solve()
 
 
 # --- dominance chain --------------------------------------------------------
