@@ -24,7 +24,6 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .game import (
-    PointSet,
     Strategy,
     WinningFamily,
     enumerate_family,
@@ -66,7 +65,6 @@ __all__ = [
     "BlockerFamily",
     "Graph",
     "MisResult",
-    "PointSet",
     "SolveResult",
     "Strategy",
     "WinningFamily",

@@ -25,7 +25,7 @@ from itertools import combinations, product
 
 from .errors import UnsupportedSizeError
 from .game import MAX_DICTATOR_N, Strategy, WinningFamily, tuple_from_index, tuple_index
-from .graphs import Graph, maximum_independent_sets
+from .graphs import Graph, _bits, maximum_independent_sets
 
 MAX_CSP_TABLES = 2_000_000
 
@@ -44,9 +44,11 @@ def k_sequence(d: int) -> int:
     return k
 
 
-# error messages quote values through this: a huge or deeply nested one stays short
+# error messages quote values through this: a deeply nested one stays short, and a
+# scalar is shortened only past the 60 characters that _cut lets through
 _QUOTE = reprlib.Repr()
 _QUOTE.maxlevel, _QUOTE.maxlist = 2, 8
+_QUOTE.maxlong = _QUOTE.maxstring = _QUOTE.maxother = 60
 
 
 def _quote(value) -> str:
@@ -177,9 +179,8 @@ def verify_blocker(blocker: Blocker, family: WinningFamily) -> VerifyResult:
     # contrib[x][c]: x in the lane of every y it meets when x's hat is c
     contrib = {x: [0] * n for x in xs}
     for x, y in blocker.points:
-        for c in range(n):
-            if y >> c & 1:
-                contrib[x][c] |= x << shift[y]
+        for c in _bits(y):
+            contrib[x][c] |= x << shift[y]
     if not xs:
         return VerifyResult(False, Counterexample(2, n, {}, {}), 1)
     *head, last = [contrib[x] for x in xs]  # the last coordinate varies fastest
@@ -619,8 +620,4 @@ def min_graph_blocker(g: Graph) -> tuple[int, tuple[int, ...]]:
             k += 1
     finally:
         del extend
-    verts = []
-    while got:
-        verts.append((got & -got).bit_length() - 1)
-        got &= got - 1
-    return len(verts), tuple(verts)
+    return got.bit_count(), tuple(_bits(got))

@@ -6,6 +6,8 @@ Conventions used throughout the package:
   bit i-1, so "the point 110" (coordinates 1 and 2 set) is the int 0b011 = 3.
 * A subset of B is an int bitmask over 2^n points: bit p is set iff point p
   is a member.
+* A subset of B^t is an int bitmask over the 2^(nt) tuple indices below;
+  `winning_set` returns one.
 * A t-tuple (x_1, ..., x_t) flattens to a single index big-endian in player
   order: idx = x_1 * 2^(n(t-1)) + x_2 * 2^(n(t-2)) + ... + x_t.
 * Family members are sorted ascending by bitmask, so indices are portable
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -215,28 +217,11 @@ def permute_players(strategy: Strategy, perm: tuple[int, ...]) -> Strategy:
     return Strategy(n=n, t=t, tables=tuple(tables))
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """A subset of B^t with its exact uniform measure."""
-
-    n: int
-    t: int
-    bits: int = field(repr=False)
-
-    @property
-    def size(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def measure(self) -> Fraction:
-        return Fraction(self.size, 1 << (self.n * self.t))
-
-    def __contains__(self, idx: int) -> bool:
-        return bool(self.bits >> idx & 1)
-
-
-def winning_set(strategy: Strategy, family: WinningFamily) -> PointSet:
+def winning_set(strategy: Strategy, family: WinningFamily) -> int:
     """The set of tuples on which every player names a set containing her point.
+
+    Returned as a bitmask over tuple indices: bit idx is set iff the tuple
+    with index idx is won.
 
     Each player gets one byte per tuple: player i's coordinate x_i is bits
     s..s+n-1 of the tuple index (s = n*(t-1-i)), so the tuples that entry
@@ -262,9 +247,9 @@ def winning_set(strategy: Strategy, family: WinningFamily) -> PointSet:
             arr[base : base + span : step] = digits[m]
         both &= int.from_bytes(arr, "little")
     # written back big-endian, tuple 0 is the last digit: the lowest bit
-    return PointSet(n=n, t=t, bits=int(both.to_bytes(total, "big"), 2))
+    return int(both.to_bytes(total, "big"), 2)
 
 
 def success_probability(strategy: Strategy, family: WinningFamily) -> Fraction:
-    """Exact winning probability of one strategy: mu(winning_set)."""
-    return winning_set(strategy, family).measure
+    """Exact winning probability of one strategy: the uniform measure of its winning set."""
+    return Fraction(winning_set(strategy, family).bit_count(), 1 << (strategy.n * strategy.t))

@@ -25,6 +25,15 @@ MAX_SUBSET_DP_VERTICES = 20  # subset-DP budget; the advertised contract is vcou
 MAX_LISTED_SETS = 200_000  # sets an enumeration lists before UnsupportedSizeError
 
 
+def _bits(m: int) -> list[int]:
+    """The set bits of m in ascending order: the members of the set with bitmask m."""
+    out = []
+    while m:
+        out.append((m & -m).bit_length() - 1)
+        m &= m - 1
+    return out
+
+
 @dataclass(frozen=True)
 class Graph:
     vcount: int
@@ -192,12 +201,7 @@ class MisResult:
     nodes_explored: int
 
     def vertices(self) -> tuple[int, ...]:
-        out = []
-        m = self.set_bits
-        while m:
-            out.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        return tuple(out)
+        return tuple(_bits(self.set_bits))
 
 
 def _with_recursion_room(pool: int, search, *args):
@@ -242,16 +246,9 @@ def _cover_rest(adj: tuple[int, ...], pool: int, k: int) -> int:
 
 def _greedy_lower(adj: tuple[int, ...], pool: int) -> tuple[int, int]:
     # ascending (degree in pool, vertex), packed as one int per vertex
-    keys = []
-    m = pool
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        keys.append((adj[v] & pool).bit_count() << 32 | v)
-    keys.sort()
     chosen = 0
     blocked = 0
-    for key in keys:
+    for key in sorted((adj[v] & pool).bit_count() << 32 | v for v in _bits(pool)):
         v = key & 0xFFFFFFFF
         if not (blocked >> v & 1):
             chosen |= 1 << v
@@ -335,7 +332,7 @@ def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
             best_size, best_set = size, taken
         return best_size, best_set, 1
     width = core.bit_length()
-    verts = [v for v in range(width) if core >> v & 1]
+    verts = _bits(core)
     drop = None
     if max((adj[v] & core).bit_count() for v in verts) <= MAX_LANE_DEGREE:
         drop = [0] * width
@@ -402,10 +399,7 @@ def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
 
 
 def _verify_independent(g: Graph, set_bits: int) -> None:
-    m = set_bits
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
+    for v in _bits(set_bits):
         if g.self_loop[v]:
             raise AssertionError(f"vertex {v} is self-looped but was selected")
         if g.adj[v] & set_bits:
@@ -628,15 +622,8 @@ def graph_to_text(g: Graph) -> str:
     """Adjacency-list text; a vertex listing itself marks a self-loop."""
     lines = [str(g.vcount)]
     for v in range(g.vcount):
-        nbrs = []
-        if g.self_loop[v]:
-            nbrs.append(v)
-        m = g.adj[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            nbrs.append(u)
-            m &= m - 1
-        lines.append(f"{v}: " + " ".join(str(u) for u in sorted(nbrs)))
+        # no adjacency row sets its own bit, so the self-loop bit is free
+        lines.append(f"{v}: " + " ".join(map(str, _bits(g.adj[v] | g.self_loop[v] << v))))
     return "\n".join(lines) + "\n"
 
 
@@ -711,9 +698,7 @@ def graph_from_bytes(data: bytes) -> Graph:
         loop.append(bool(row >> v & 1))
         adj.append(row & ~(1 << v))
     for u, row in enumerate(adj):
-        while row:
-            v = (row & -row).bit_length() - 1
+        for v in _bits(row):
             if not adj[v] >> u & 1:
                 raise ValueError(f"rows are not symmetric: edge {u}-{v} but not {v}-{u}")
-            row &= row - 1
     return Graph(vcount, tuple(adj), tuple(loop), "imported")

@@ -199,7 +199,7 @@ def _exact_last_player(family: WinningFamily, t: int) -> SolveResult:
     reps: dict[int, tuple[tuple[int, ...], ...]] = {}
     for tables in product(product(range(r), repeat=entries >> n), repeat=t - 1):
         inner = Strategy(n=n, t=t - 1, tables=tables)
-        reps.setdefault(winning_set(inner, family).bits, tables)
+        reps.setdefault(winning_set(inner, family), tables)
     wins = sorted(reps)
     members = [family.indices_containing(x) for x in range(1 << n)]
     total, table = _scan_last_player(r, entries, members, wins)

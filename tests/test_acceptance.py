@@ -156,7 +156,7 @@ def test_criterion_08_base_blockers():
     ok = ok and not res.is_blocker and res.counterexample is not None
     if res.counterexample is not None:
         w = winning_set(res.counterexample.to_strategy(), winning)
-        ok = ok and not (w.bits >> 0b0110 & 1)
+        ok = ok and not (w >> 0b0110 & 1)
     report("8", "complement pairs certify for n<=6; singleton refuted concretely", ok)
 
 

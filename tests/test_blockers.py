@@ -117,7 +117,7 @@ def test_singleton_fails_with_counterexample():
     assert not (0b0101 >> cx.f1[0] & 1)
     # and the counterexample extends to a strategy whose winning set avoids it
     w = winning_set(cx.to_strategy(), winning)
-    assert not (w.bits >> 0b0101 & 1)
+    assert not (w >> 0b0101 & 1)
 
 
 def test_blocker_rejects_points_out_of_range():
@@ -183,7 +183,7 @@ def test_t2_counterexample_extends_to_avoiding_strategy():
     strategy = res.counterexample.to_strategy()
     w = winning_set(strategy, winning)
     for x, y in blocker.points:
-        assert not (w.bits >> ((x << n) | y) & 1)
+        assert not (w >> ((x << n) | y) & 1)
 
 
 def test_t2_oracle_agrees_with_full_enumeration():
@@ -609,12 +609,31 @@ def test_family_json_rejects_missing_key(key):
         family_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "doc,what",
+    [
+        ([_family_doc()], "must be a JSON object"),
+        (_family_doc(blockers=5), "blockers must be a list of point-index lists"),
+        (_family_doc(blockers=[5]), "a blocker must be a list of integers .*, got 5"),
+        (_family_doc(seed="7"), "seed must be an integer or null"),
+        (_family_doc(stalled=1), "stalled and certified booleans"),
+        (_family_doc(certified="yes"), "stalled and certified booleans"),
+    ],
+    ids=["not-an-object", "blockers-not-a-list", "blocker-not-a-list", "seed-string",
+         "stalled-int", "certified-string"],
+)
+def test_family_json_rejects_a_malformed_shape(doc, what):
+    with pytest.raises(ValueError, match=what):
+        family_from_json(json.dumps(doc))
+
+
 def _product_doc(base="complement-pairs", tuples=([3, 5, 6, 9, 10, 12],)) -> dict:
     return {"t": 2, "n": 4, "k": 12, "beta": "3/8",
             "product": {"base": base, "tuples": list(tuples)}}
 
 
-# (document, what its error must say), each holding one value thousands of characters long
+# (document, what its error must say): one value thousands of characters long is cut, and
+# one that fits in 60 characters appears whole
 HUGE_VALUE_DOCS = {
     "blocker-entry": (_family_doc(blockers=[[0] * 100_000 + [256]]),
                       "entry 100000 of 100001 is 256"),
@@ -628,12 +647,15 @@ HUGE_VALUE_DOCS = {
     "product-k-digits": (_product_doc() | {"k": 10**4000}, "must hold 1000"),
     "beta-digits": (_family_doc(beta="1" * 4000 + "/" + "1" * 3999 + "2"),
                     "does not match the union measure 1/128"),
+    "n-46-digits": (_family_doc(n=10**45), f"got t=2, n={10**45}$"),
+    "base-40-chars": (_product_doc(base="x" * 40), f"got '{'x' * 40}'$"),
 }
 
 
 @pytest.mark.parametrize("name", list(HUGE_VALUE_DOCS))
 def test_family_json_errors_do_not_echo_a_huge_value(name):
-    # each message used to echo the whole value, up to 688,948 characters
+    # each message used to echo the whole value, up to 688,948 characters, and
+    # then cut a 46-digit n or a 40-character base although it would fit
     doc, what = HUGE_VALUE_DOCS[name]
     with pytest.raises(ValueError, match=what) as info:
         family_from_json(json.dumps(doc))

@@ -553,9 +553,11 @@ def test_graph_import_malformed_exits_2(tmp_path, name, data):
     [({"blockers": [[15, 999999]]}, None), ({"blockers": [[15]]}, None), ({}, "k"),
      ({"beta": "1/2"}, None),
      # the product was dropped silently and the blockers verified with exit 0
-     ({"product": {"base": "complement-pairs", "tuples": [[3, 5, 6, 9, 10, 12]]}}, None)],
+     ({"product": {"base": "complement-pairs", "tuples": [[3, 5, 6, 9, 10, 12]]}}, None),
+     ({"blockers": 5}, None), ({"blockers": [5]}, None), ({"seed": "7"}, None)],
     ids=["index-out-of-range", "wrong-length", "missing-k", "beta-not-union-measure",
-         "blockers-and-product"],
+         "blockers-and-product", "blockers-not-a-list", "blocker-not-a-list",
+         "seed-not-an-integer"],
 )
 def test_blocker_verify_malformed_exits_2(tmp_path, change, drop):
     doc = {"t": 2, "n": 4, "k": 2, "beta": "1/128", "seed": None,
@@ -758,3 +760,28 @@ def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         if value is not None:
             assert json.loads(out)["result"]["value"] == value, argv
+
+
+
+# backticked README names that are math notation, not code
+README_NOTATION = {"D_b"}
+
+
+def test_readme_names_only_code_that_exists():
+    # a backticked name with an underscore or a capital letter, alone or
+    # called, must occur as a word in the package or the tests, and
+    # `module.name` in that module when the package has one of that name
+    root = Path(__file__).resolve().parent.parent
+    package = root / "src" / "hatlab"
+    files = sorted(package.glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    corpus = "\n".join(p.read_text() for p in files)
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", (root / "README.md").read_text()):
+        m = re.fullmatch(r"(?:([a-z]\w*)\.)?([A-Za-z_]\w*)(?:\([^()]*\))?", span)
+        if m and ("_" in m[2] or m[2][0].isupper()) and m[2] not in README_NOTATION:
+            names.add((m[1] or "", m[2]))
+    assert len(names) >= 40
+    for module, name in sorted(names):
+        where = package / f"{module}.py"
+        text = where.read_text() if module and where.exists() else corpus
+        assert re.search(rf"\b{name}\b", text), f"README names {name} ({module or 'any file'})"

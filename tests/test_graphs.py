@@ -20,6 +20,7 @@ from hatlab.graphs import (
     Graph,
     _mis_search,
     _peel,
+    _verify_independent,
     complete_graph,
     edgeless_graph,
     graph_from_bytes,
@@ -79,6 +80,23 @@ def test_kneser_2_edges():
     assert not g.has_edge(1, 3) and not g.has_edge(2, 3)
     assert all(g.has_edge(0, v) for v in (1, 2, 3))
     assert g.self_loop[0] and not any(g.self_loop[1:])
+
+
+def test_diagonal_entries_are_self_loops():
+    g = kneser(2)
+    assert g.has_edge(0, 0) and not g.has_edge(1, 1)
+    with pytest.raises(ValueError, match="use self_loop for diagonal entries"):
+        g.with_edge(1, 1)
+
+
+def test_verify_independent_rejects_an_edge_or_a_self_loop():
+    g = shift_graph(4)
+    u = g.adj[0].bit_length() - 1
+    with pytest.raises(AssertionError, match="vertex 0 has a neighbour inside the set"):
+        _verify_independent(g, 1 | 1 << u)
+    with pytest.raises(AssertionError, match="vertex 0 is self-looped"):
+        _verify_independent(kneser(2), 0b1)
+    _verify_independent(kneser(2), 0b1010)  # 01 and 11 meet: no edge
 
 
 def test_kneser_3_edge_count_recount():

@@ -295,7 +295,7 @@ def test_t2_oracle_matches_brute_force(n, data):
     assert res.is_blocker == brute_force_is_blocker(list(points), n)
     assert (res.counterexample is None) == res.is_blocker
     if res.counterexample is not None:
-        w = winning_set(res.counterexample.to_strategy(), winning).bits
+        w = winning_set(res.counterexample.to_strategy(), winning)
         assert not any(w >> (x << n | y) & 1 for x, y in points)
 
 
