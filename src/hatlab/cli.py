@@ -19,7 +19,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -33,7 +32,7 @@ from .blockers import (
     verify_blocker,
 )
 from .errors import UnsupportedSizeError
-from .game import enumerate_family
+from .game import FAMILY_KINDS, enumerate_family
 from .graphs import (
     BINARY_MAGIC,
     Graph,
@@ -61,46 +60,26 @@ EXIT_STALL = 4
 MAX_PRINTED_DIGITS = 4300
 _UNPRINTABLE = 10**MAX_PRINTED_DIGITS
 
-FAMILY_ALIASES = {
-    "dict": "dictator",
-    "dictator": "dictator",
-    "intersecting": "intersecting",
-    "monotone": "monotone",
-}
+FAMILY_ALIASES = {"dict": "dictator", **{k: k for k in FAMILY_KINDS}}
 
 
-@dataclass
-class RunRecord:
-    command: str
-    params: dict
-    seed: int | None
-    result: dict
+def _compact_json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
-    def to_json(self) -> str:
-        # wall time varies run to run, so it stays out of the payload
-        doc = {
-            "command": self.command,
-            "params": self.params,
-            "seed": self.seed,
-            "version": __version__,
-            "result": self.result,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
-    def to_csv(self) -> str:
-        keys = sorted(self.params)
-        flat = {f"param_{k}": self.params[k] for k in keys}
-        flat["command"] = self.command
-        flat["seed"] = self.seed
-        for k, v in sorted(self.result.items()):
+def _csv_record(doc: dict) -> str:
+    """The record as a header row and one value row, without its version."""
+    flat = {"command": doc["command"], "seed": doc["seed"]}
+    for prefix, part in (("param", doc["params"]), ("result", doc["result"])):
+        for k, v in part.items():
             if isinstance(v, (list, tuple, dict)):
-                v = json.dumps(v, sort_keys=True, separators=(",", ":"))
-            flat[f"result_{k}"] = v
-        cols = sorted(flat)
-        # minimal quoting: a value holding a comma is quoted, None is empty
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows([cols, [flat[c] for c in cols]])
-        return out.getvalue().rstrip("\n")
+                v = _compact_json(v)
+            flat[f"{prefix}_{k}"] = v
+    cols = sorted(flat)
+    # minimal quoting: a value holding a comma is quoted, None is empty
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([cols, [flat[c] for c in cols]])
+    return out.getvalue().rstrip("\n")
 
 
 def frac_fields(value: Fraction) -> dict:
@@ -308,8 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility; has no effect",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the first arguments of alpha, alphastar and graph export
+    graph_args = argparse.ArgumentParser(add_help=False)
+    graph_args.add_argument("--graph", required=True)
+    graph_args.add_argument("--power", type=int, default=1)
 
     p = sub.add_parser("solve", help="optimal success probability p(t, n)")
+    p.set_defaults(handler=_cmd_solve)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", choices=sorted(FAMILY_ALIASES), default="dict")
@@ -323,21 +307,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the optimal strategy tables in the result")
 
     p = sub.add_parser("family", help="list the winning sets of one family kind")
+    p.set_defaults(handler=_cmd_family)
     p.add_argument("--kind", choices=sorted(FAMILY_ALIASES), default="dict")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("alpha", help="exact independence ratio of a graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--power", type=int, default=1)
+    p = sub.add_parser("alpha", parents=[graph_args], help="exact independence ratio of a graph")
+    p.set_defaults(handler=_cmd_alpha)
 
-    p = sub.add_parser("alphastar", help="expected best independent set in a random subset")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--power", type=int, default=1)
+    p = sub.add_parser(
+        "alphastar", parents=[graph_args],
+        help="expected best independent set in a random subset",
+    )
+    p.set_defaults(handler=_cmd_alphastar)
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("blocker", help="build, verify or bound blocker families")
+    p.set_defaults(handler=_cmd_blocker)
     bsub = p.add_subparsers(dest="blocker_cmd", required=True)
     b = bsub.add_parser("build")
     b.add_argument("--n", type=int, required=True)
@@ -354,10 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--beta", required=True, help="exact fraction, e.g. 1/6")
 
     p = sub.add_parser("graph", help="export or inspect graphs")
+    p.set_defaults(handler=_cmd_graph)
     gsub = p.add_subparsers(dest="graph_cmd", required=True)
-    g = gsub.add_parser("export")
-    g.add_argument("--graph", required=True)
-    g.add_argument("--power", type=int, default=1)
+    g = gsub.add_parser("export", parents=[graph_args])
     g.add_argument("--encoding", choices=("text", "binary"), default="text")
     g.add_argument("--out", required=True)
     g = gsub.add_parser("import")
@@ -365,18 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-HANDLERS = {
-    "solve": _cmd_solve,
-    "family": _cmd_family,
-    "alpha": _cmd_alpha,
-    "alphastar": _cmd_alphastar,
-    "blocker": _cmd_blocker,
-    "graph": _cmd_graph,
-}
-
-
 def _params_of(args: argparse.Namespace) -> dict:
-    skip = {"command", "format", "threads", "blocker_cmd", "graph_cmd", "seed"}
+    skip = {"command", "handler", "format", "threads", "blocker_cmd", "graph_cmd", "seed"}
     params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
     for k in ("blocker_cmd", "graph_cmd"):
         if getattr(args, k, None):
@@ -389,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        result, seed, code = HANDLERS[args.command](args)
+        result, seed, code = args.handler(args)
     except UnsupportedSizeError as exc:
         print(f"hatlab: unsupported size: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -397,16 +373,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"hatlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
     wall = time.monotonic() - started
-    record = RunRecord(
-        command=args.command,
-        params=_params_of(args),
-        seed=seed,
-        result=result,
-    )
-    if args.format == "csv":
-        print(record.to_csv())
-    else:
-        print(record.to_json())
+    # wall time varies run to run, so it stays out of the payload
+    doc = {
+        "command": args.command,
+        "params": _params_of(args),
+        "seed": seed,
+        "version": __version__,
+        "result": result,
+    }
+    print(_csv_record(doc) if args.format == "csv" else _compact_json(doc))
     # the graph commands have a label and family a member count to show
     summary = next(
         (result[k] for k in ("value", "mean", "certified", "label", "r") if k in result),

@@ -119,14 +119,20 @@ def _score_table(masks: tuple[int, ...] | list[int], entries: int) -> bytes:
 
 def _scan_last_player(
     r: int, entries: int, members: list[tuple[int, ...]], wins: list[int]
-) -> tuple[int, tuple[int, ...]]:
+) -> tuple[int, tuple[int, ...], int]:
     """The first last-player table, in product order, with the best best-response total.
 
-    A depth-first walk over the table's entries keeps one union u[x] per point
-    (the entries whose member contains x) and cuts a subtree on the budget
-    bound of `_descend`. Cuts are strict, so the first optimum in product
-    order survives. The walk reads a point's score from a table of f(u) over
-    all unions u (`_score_table`). Returns (total, table).
+    One recursive `node(e, total)` tries each member at entry e of the table.
+    The walk keeps one union u[x] per point (the entries whose member contains
+    x); `total` is the score of entries 0..e-1, the sum over points of
+    f(u[x]) = max_w |w & u[x]| = score[u[x]], read from a table of f over all
+    unions (`_score_table`). f is monotone and rises by at most 1 when u[x]
+    gains one entry. Setting entry e to member i raises only the points of
+    holders[i], by up[x], and each later entry raises at most hmax points, so
+    a child scores at most its own total plus hmax per entry after e (the
+    budget bound). A child is cut when that bound is <= the incumbent; at the
+    last entry the bound is its exact total. Cuts are strict, so the first
+    optimum in product order survives. Returns (total, table, nodes walked).
     """
     holders = [[x for x, mem in enumerate(members) if i in mem] for i in range(r)]
     # a mask inside another never scores more, so the walk scores maximal masks only
@@ -134,42 +140,36 @@ def _scan_last_player(
         [w for w in wins if not any(w != v and w | v == v for v in wins)], entries
     )
     hmax = max(map(len, holders))
-    state = [-1, None]
-    _descend(0, [0] * len(members), 0, [0] * entries, holders, hmax, score, state)
-    return state[0], state[1]
+    u = [0] * len(members)
+    table = [0] * entries
+    top, top_table, nodes = -1, None, 0
 
+    def node(e: int, total: int) -> None:
+        nonlocal top, top_table, nodes
+        nodes += 1
+        bit = 1 << e
+        budget = (entries - e - 1) * hmax
+        last = e + 1 == entries
+        up = [score[v | bit] - score[v] for v in u]
+        for i, xs in enumerate(holders):
+            child_total = total + sum(map(up.__getitem__, xs))
+            if child_total + budget <= top:
+                continue
+            table[e] = i
+            if last:
+                top, top_table = child_total, tuple(table)
+                continue
+            for x in xs:
+                u[x] |= bit
+            node(e + 1, child_total)
+            for x in xs:
+                u[x] ^= bit
 
-def _descend(
-    e: int, u: list[int], total: int, table: list[int],
-    holders: list[list[int]], hmax: int, score: bytes, state: list,
-) -> None:
-    """Try each member at entry e of `table`; state is [incumbent, its table].
-
-    `total` is the score of entries 0..e-1: the sum over points of
-    f(u[x]) = max_w |w & u[x]| = score[u[x]]. f is monotone and rises by at
-    most 1 when u[x] gains one entry. Setting entry e to member i raises only
-    the points of holders[i], by up[x], and each later entry raises at most
-    hmax points, so a child scores at most its own total plus hmax per entry
-    after e (the budget bound). A child is cut when that bound is <= the
-    incumbent; at the last entry the bound is its exact total.
-    """
-    bit = 1 << e
-    budget = (len(table) - e - 1) * hmax
-    last = e + 1 == len(table)
-    up = [score[v | bit] - score[v] for v in u]
-    for i, xs in enumerate(holders):
-        child_total = total + sum(map(up.__getitem__, xs))
-        if child_total + budget <= state[0]:
-            continue
-        table[e] = i
-        if last:
-            state[0], state[1] = child_total, tuple(table)
-            continue
-        for x in xs:
-            u[x] |= bit
-        _descend(e + 1, u, child_total, table, holders, hmax, score, state)
-        for x in xs:
-            u[x] ^= bit
+    try:
+        node(0, 0)
+    finally:
+        del node  # node reaches itself through this scope: break the cycle
+    return top, top_table, nodes
 
 
 def best_response_value(table: tuple[int, ...], family: WinningFamily) -> Fraction:
@@ -202,7 +202,7 @@ def _exact_last_player(family: WinningFamily, t: int) -> SolveResult:
         reps.setdefault(winning_set(inner, family), tables)
     wins = sorted(reps)
     members = [family.indices_containing(x) for x in range(1 << n)]
-    total, table = _scan_last_player(r, entries, members, wins)
+    total, table, _ = _scan_last_player(r, entries, members, wins)
     rebuilt = [[0] * entries for _ in range(t - 1)]
     for xt, wi in enumerate(_best_response(table, r, members, _Argmax(wins))[1]):
         for j, inner_table in enumerate(reps[wins[wi]]):

@@ -22,11 +22,9 @@ CLI = [sys.executable, "-m", "hatlab.cli"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args: str, env_extra: dict | None = None, cwd=None):
+def run_cli(*args: str, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         CLI + list(args), capture_output=True, text=True, timeout=600, env=env, cwd=cwd
     )
@@ -369,12 +367,6 @@ def test_seeded_commands_byte_identical_across_runs_and_threads(args):
             assert res.returncode == 0, res.stderr
             outs.add(res.stdout)
     assert len(outs) == 1
-
-
-def test_threads_env_variable_respected():
-    a = run_cli("solve", "--t", "2", "--n", "2", env_extra={"HATLAB_THREADS": "8"})
-    b = run_cli("solve", "--t", "2", "--n", "2", env_extra={"HATLAB_THREADS": "1"})
-    assert a.stdout == b.stdout
 
 
 def test_csv_format():

@@ -330,6 +330,12 @@ def test_player_permutation_permutes_winning_set(t, n):
             assert (w >> idx & 1) == (wp >> tuple_index(y, n) & 1)
 
 
+def test_permute_players_rejects_a_non_permutation():
+    s = random_strategy(enumerate_family("dictator", 2), 2, random.Random(0))
+    with pytest.raises(ValueError, match=r"\(0, 0\) is not a permutation"):
+        permute_players(s, (0, 0))
+
+
 def test_malformed_strategy_rejected():
     fam = enumerate_family("dictator", 2)
     with pytest.raises(MalformedStrategyError):

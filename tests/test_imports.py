@@ -71,3 +71,40 @@ def test_export_list_resolves():
     namespace: dict = {}
     exec("from hatlab import *", namespace)
     assert set(hatlab.__all__) <= set(namespace)
+
+
+def test_every_private_helper_is_read():
+    # a helper that a fold leaves behind is defined but never read; an import
+    # of it alone does not count, the importing module must read it
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    helpers = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            helpers += [
+                (module, name, node)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+    assert helpers
+    dead = []
+    for module, name, definition in helpers:
+        inside = {id(node) for node in ast.walk(definition)}
+        if not any(
+            id(node) not in inside
+            and (
+                isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+            )
+            for tree in trees.values()
+            for node in ast.walk(tree)
+        ):
+            dead.append(f"{module}:{name}")
+    assert dead == []

@@ -8,6 +8,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from hatlab.errors import MalformedStrategyError, UnsupportedSizeError
 from hatlab.game import enumerate_family, success_probability
 from hatlab.graphs import hamming_power, kneser, max_independent_set
 from hatlab.solver import (
-    _descend,
     _scan_last_player,
     _score_table,
     best_response_value,
@@ -269,18 +269,16 @@ def tied_kernel_cases(draw):
 @given(kernel_cases())
 def test_scan_last_player_matches_plain_scan(case):
     r, entries, members, wins = case
-    assert _scan_last_player(r, entries, members, wins) == plain_scan(
-        r, entries, members, wins
-    )
+    total, table, _ = _scan_last_player(r, entries, members, wins)
+    assert (total, table) == plain_scan(r, entries, members, wins)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(tied_kernel_cases())
 def test_scan_last_player_matches_plain_scan_on_ties(case):
     r, entries, members, wins = case
-    assert _scan_last_player(r, entries, members, wins) == plain_scan(
-        r, entries, members, wins
-    )
+    total, table, _ = _scan_last_player(r, entries, members, wins)
+    assert (total, table) == plain_scan(r, entries, members, wins)
 
 
 def assert_score_table(masks, entries):
@@ -317,20 +315,20 @@ def test_score_table_of_the_full_16_bit_mask_reaches_16():
     assert all(table[u] == u.bit_count() for u in range(1 << 16))
 
 
-# Walked nodes (_descend calls) with the budget bound; a union bound (every
-# unassigned entry added to each point's union) walks 15390 and 34750.
+# Walked nodes with the budget bound; a union bound (every unassigned entry
+# added to each point's union) walks 15390 and 34750.
 @pytest.mark.parametrize("t,n,kind,nodes", [(2, 3, "intersecting", 566), (3, 2, "dictator", 9051)])
 def test_last_player_walk_node_count(t, n, kind, nodes, monkeypatch):
-    calls = 0
+    walked = []
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return _descend(*args)
+    def scan(*args):
+        total, table, count = _scan_last_player(*args)
+        walked.append(count)
+        return total, table, count
 
-    monkeypatch.setattr("hatlab.solver._descend", counted)
+    monkeypatch.setattr("hatlab.solver._scan_last_player", scan)
     exact_p(t, n, kind, allow_slow=True)
-    assert calls <= nodes
+    assert len(walked) == 1 and walked[0] <= nodes
 
 
 def test_exact_p_holds_no_memory_after_return():
@@ -439,6 +437,15 @@ def test_dominance_chain_values():
     for t, n in [(2, 2), (2, 3)]:
         pd, pi, pm = dominance_chain(t, n)
         assert pd <= pi <= pm
+
+
+def test_dominance_chain_raises_when_out_of_order(monkeypatch):
+    values = {"dictator": Fraction(1, 2), "intersecting": Fraction(1, 4), "monotone": Fraction(1, 2)}
+    monkeypatch.setattr(
+        "hatlab.solver.exact_p", lambda t, n, kind: SimpleNamespace(value=values[kind])
+    )
+    with pytest.raises(RuntimeError, match="dominance chain violated"):
+        dominance_chain(2, 2)
 
 
 # --- pinned witnesses -------------------------------------------------------
