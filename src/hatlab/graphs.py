@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import struct
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,6 +50,21 @@ class Graph:
             if not self.self_loop[v]:
                 mask |= 1 << v
         return mask
+
+    @cached_property
+    def lane_drop(self) -> list[int] | None:
+        """Per-vertex rows of the size-only search's degree vector, or None.
+
+        Row v is 0x80 in byte lane v plus one in the lane of each neighbour
+        of v: subtracting it takes v out of the vector that `_lane_peel`
+        reads. None when some degree is over MAX_LANE_DEGREE, as a lane
+        then cannot hold it. Built on first use, by the first size-only
+        root that branches, it lives as long as the graph: vcount^2 bytes,
+        4 KiB at 64 vertices and 16 MiB at the MAX_MIS_VERTICES cap.
+        """
+        if any(a.bit_count() > MAX_LANE_DEGREE for a in self.adj):
+            return None
+        return [_byte_lanes(a) + (0x80 << 8 * v) for v, a in enumerate(self.adj)]
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -301,6 +317,55 @@ def _byte_lanes(m: int) -> int:
     return int.from_bytes(bin(m)[:1:-1].encode().translate(_BIT_LANES), "little")
 
 
+def _lane_peel(
+    adj: tuple[int, ...], drop: list[int], width: int, p: int, deg: int
+) -> tuple[int, int, int, bytes]:
+    """`_peel` on a degree vector: (p left, deg left, taken, lanes of deg left).
+
+    deg holds, in byte lane v of width lanes, 0x80 + deg_p(v) while v is in
+    the pool p, and a count below 0x80 once v has left it; drop[v] takes v
+    out. Each take is a C-level search of the lanes for a 0x80 or 0x81
+    byte, resumed after the last take, and the pass repeats until it takes
+    nothing: `_peel`'s take order. The branch vertex `_peel` would pick is
+    the first largest lane, `lanes.index(max(lanes))`, because degrees only
+    fall.
+    """
+    taken = 0
+    lanes = deg.to_bytes(width, "little")
+    start = 0
+    while True:
+        v = lanes.find(b"\x80", start)
+        w = lanes.find(b"\x81", start)
+        if w >= 0 and not 0 <= v < w:
+            v = w
+        if v < 0:
+            # start > 0 exactly when this pass took a vertex: pass again
+            if not start:
+                return p, deg, taken, lanes
+            start = 0
+            continue
+        # degree 0 or 1: take the vertex, drop it and its neighbour
+        low = 1 << v
+        d = adj[v] & p
+        p ^= d | low
+        taken |= low
+        deg -= drop[v]
+        if d:
+            deg -= drop[d.bit_length() - 1]
+        lanes = deg.to_bytes(width, "little")
+        start = v + 1
+
+
+def _drop_rows(drop: list[int] | None, deg: int | None, m: int) -> int | None:
+    """deg less drop[v] for each vertex v of m; a search without lanes passes None through."""
+    if deg is None:
+        return None
+    while m:
+        deg -= drop[(m & -m).bit_length() - 1]
+        m &= m - 1
+    return deg
+
+
 def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
     """Exact max independent set within pool: (size, set_bits, nodes).
 
@@ -313,13 +378,12 @@ def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
     they would take 21 ms, the whole search takes 6 ms).
 
     When every degree in the root's peeled core is at most MAX_LANE_DEGREE,
-    the nodes peel with a degree vector: one int whose byte lane v holds
-    0x80 + deg_p(v) while v is in the pool p, and deg_p(v) alone (below
-    0x80) once v has left it. Dropping v subtracts a precomputed int, 0x80
-    in lane v plus one in the lane of each core neighbour. Each take is a
-    C-level search of the lanes for a 0x80 or 0x81 byte, resumed after the
-    last take, and the branch vertex is the first largest byte: `_peel`'s
-    take order and branch vertex, because degrees only fall. A core degree
+    the nodes peel with `_lane_peel` on a degree vector: one int whose byte
+    lane v holds 0x80 + deg_p(v) while v is in the pool p, and deg_p(v)
+    alone (below 0x80) once v has left it. Dropping v subtracts drop[v],
+    0x80 in lane v plus one in the lane of each core neighbour. The table
+    is built per search, from degrees within the core, so a graph whose
+    degrees pass 127 only outside the core still gets lanes. A core degree
     over MAX_LANE_DEGREE fits no lane; then drop is None and every node
     runs `_peel`.
     """
@@ -340,38 +404,15 @@ def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
             drop[v] = _byte_lanes(adj[v] & core) + (0x80 << 8 * v)
     nodes = 0
 
-    def node(p: int, deg: int, size: int, chosen: int) -> None:
+    def node(p: int, deg: int | None, size: int, chosen: int) -> None:
         nonlocal best_size, best_set, nodes
         nodes += 1
         if drop is None:
             p, taken, branch, _ = _peel(adj, p)
-            size += taken.bit_count()
-            chosen |= taken
         else:
-            lanes = deg.to_bytes(width, "little")
-            start = 0
-            while True:
-                v = lanes.find(b"\x80", start)
-                w = lanes.find(b"\x81", start)
-                if w >= 0 and not 0 <= v < w:
-                    v = w
-                if v < 0:
-                    # start > 0 exactly when this pass took a vertex: pass again
-                    if not start:
-                        break
-                    start = 0
-                    continue
-                # degree 0 or 1: take the vertex, drop it and its neighbour
-                low = 1 << v
-                d = adj[v] & p
-                p ^= d | low
-                chosen |= low
-                size += 1
-                deg -= drop[v]
-                if d:
-                    deg -= drop[d.bit_length() - 1]
-                lanes = deg.to_bytes(width, "little")
-                start = v + 1
+            p, deg, taken, lanes = _lane_peel(adj, drop, width, p, deg)
+        size += taken.bit_count()
+        chosen |= taken
         if not _cover_rest(adj, p, best_size - size):
             if size > best_size:
                 best_size, best_set = size, chosen
@@ -380,19 +421,12 @@ def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
         v = branch.bit_length() - 1 if drop is None else lanes.index(max(lanes))
         low = 1 << v
         nbrs = adj[v] & p
-        inc = deg
-        if drop is not None:
-            inc = deg = deg - drop[v]
-            m = nbrs
-            while m:
-                inc -= drop[(m & -m).bit_length() - 1]
-                m &= m - 1
-        node(p & ~(nbrs | low), inc, size + 1, chosen | low)
-        node(p ^ low, deg, size, chosen)
+        node(p & ~(nbrs | low), _drop_rows(drop, deg, nbrs | low), size + 1, chosen | low)
+        node(p ^ low, _drop_rows(drop, deg, low), size, chosen)
 
     # node 1 is the root again: its core peels nothing more and passes the same check
     try:
-        node(core, 0 if drop is None else sum(drop), size, taken)
+        node(core, None if drop is None else sum(drop), size, taken)
     finally:
         del node  # node reaches itself through this scope: break the cycle
     return best_size, best_set, nodes
@@ -428,10 +462,11 @@ def max_independent_set(g: Graph) -> MisResult:
 def _min_degree_greedy(adj: tuple[int, ...], pool: int) -> tuple[int, int]:
     """A maximal independent set within pool: (size, set_bits).
 
-    Each step takes a vertex of minimum degree in what is left of the pool
-    (lowest index on ties) and drops it and its neighbours. A vertex of
-    degree 0 or 1 ends the scan early: some maximum independent set of the
-    pool holds it, as `_peel` relies on too.
+    Each step takes a vertex of what is left of the pool and drops it and
+    its neighbours: the lowest-index vertex of degree 0 or 1 if there is
+    one, which ends the scan early (some maximum independent set of the
+    pool holds it, as `_peel` relies on too), else one of minimum degree,
+    lowest index on ties.
     """
     chosen = 0
     while pool:
@@ -451,49 +486,85 @@ def _min_degree_greedy(adj: tuple[int, ...], pool: int) -> tuple[int, int]:
     return chosen.bit_count(), chosen
 
 
-def _mis_size_node(adj: tuple[int, ...], p: int, size: int, best: int | None) -> int:
-    """max(best, size + alpha of p): `_mis_size_node(adj, pool, 0, None)` is alpha of pool.
+def _mis_size_node(
+    adj: tuple[int, ...],
+    drop: Callable[[], list[int] | None] | list[int] | None,
+    p: int,
+    deg: int | None,
+    size: int,
+    best: int | None,
+) -> int:
+    """max(best, size + alpha of p), by the size-only search of `mis_size_in_subset`.
 
     Unlike `_mis_search`, whose set and node count `hatlab alpha` prints and
-    tests pin, this size-only search is free to branch differently, and it
-    walks fewer nodes on the shallow subset searches of alpha** Monte Carlo.
-    It runs `_peel` at every node, without lanes: its pools are small and
-    peel few vertices, so lanes cost more to set up than they save (on the
-    alpha** draws, `K(3)^2` went from 0.08 to 0.12 s). At the root (best is
-    None) the incumbent is the peeled vertices plus `_min_degree_greedy` on
-    the core they leave: run on the raw pool, the greedy costs more than it
-    saves. The greedy clique cover then takes `best - size` cliques; an
-    improving set needs a vertex of what they leave over, B (`_cover_rest`).
-    Empty B prunes. When B has at most two vertices, the node branches once
-    per vertex of B, each child dropping the vertices branched on before it:
+    tests pin, this search is free to branch differently, and it walks
+    fewer nodes on the shallow subset searches of alpha** Monte Carlo.
+
+    The root (best is None) runs `_peel` on the pool. Its incumbent is the
+    peeled vertices plus `_min_degree_greedy` on the core they leave: run
+    on the raw pool, the greedy costs more than it saves. Its drop is a
+    function that returns the graph's lane table (`Graph.lane_drop`), and
+    it calls it only when it branches, so a graph whose roots all close
+    never builds the table. It then sums the table's rows over its core,
+    and every node below it peels that degree vector with `_lane_peel`,
+    each child getting its parent's vector less the rows of the vertices
+    it drops. The table is kept with the graph because one built per
+    search cost more than it saved on these small pools. When a degree is
+    over MAX_LANE_DEGREE the table is None, deg stays None, and every node
+    runs `_peel`. Both peels take the same vertices and pick the same
+    branch vertex, so the tree is the same either way.
+
+    The greedy clique cover then takes `best - size` cliques; an improving
+    set needs a vertex of what they leave over, B (`_cover_rest`). Empty B
+    prunes. When B has at most two vertices, the node branches once per
+    vertex of B, each child dropping the vertices branched on before it:
     the child that excludes all of B could not improve, so this never makes
     more children than a binary branch. A larger B gets the binary
-    include/exclude branch on `_peel`'s vertex.
+    include/exclude branch on the peel's branch vertex.
     """
-    p, taken, branch, branch_adj = _peel(adj, p)
+    if deg is None:
+        p, taken, branch, branch_adj = _peel(adj, p)
+        lanes = None
+    else:
+        p, deg, taken, lanes = _lane_peel(adj, drop, len(adj), p, deg)
     size += taken.bit_count()
-    if best is None:
+    root = best is None
+    if root:
         best = size + _min_degree_greedy(adj, p)[0]
     if p == 0:
         return size if size > best else best
     rest = _cover_rest(adj, p, best - size)
     if not rest:
         return best
+    if root:
+        drop = drop()
+        if drop is not None:
+            deg = sum(drop[v] for v in _bits(p))
     if rest.bit_count() <= 2:
         while rest:
             low = rest & -rest
             rest ^= low
-            best = _mis_size_node(adj, p & ~(adj[low.bit_length() - 1] | low), size + 1, best)
+            gone = adj[low.bit_length() - 1] & p | low
+            best = _mis_size_node(
+                adj, drop, p & ~gone, _drop_rows(drop, deg, gone), size + 1, best
+            )
             p ^= low
+            deg = _drop_rows(drop, deg, low)
         return best
-    best = _mis_size_node(adj, p & ~(branch_adj | branch), size + 1, best)
-    return _mis_size_node(adj, p ^ branch, size, best)
+    if lanes is not None:
+        v = lanes.index(max(lanes))
+        branch, branch_adj = 1 << v, adj[v]
+    gone = branch_adj & p | branch
+    best = _mis_size_node(adj, drop, p & ~gone, _drop_rows(drop, deg, gone), size + 1, best)
+    return _mis_size_node(adj, drop, p ^ branch, _drop_rows(drop, deg, branch), size, best)
 
 
 def mis_size_in_subset(g: Graph, subset: int) -> int:
     """Size of the largest independent set using only vertices in `subset`."""
     pool = subset & g.eligible
-    return _with_recursion_room(pool, _mis_size_node, g.adj, pool, 0, None)
+    return _with_recursion_room(
+        pool, _mis_size_node, g.adj, lambda: g.lane_drop, pool, None, 0, None
+    )
 
 
 def mis_size_all_subsets(g: Graph) -> bytes:

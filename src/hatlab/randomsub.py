@@ -93,9 +93,11 @@ def alpha_star_star_mc(
     the seed alone. A graph within the subset-DP budget
     (vcount <= MAX_SUBSET_DP_VERTICES) reads alpha(G[W]) from one
     `mis_size_all_subsets` table; a larger one runs the size-only search of
-    `mis_size_in_subset` per sample. Both give the same exact size, so the
-    route never changes the estimate. Over MAX_MIS_VERTICES, as for
-    `max_independent_set`, it raises UnsupportedSizeError.
+    `mis_size_in_subset` per sample, whose nodes peel on the byte-lane
+    table the graph builds once (`Graph.lane_drop`) and keeps for every
+    later sample. Both give the same exact size, so the route never changes
+    the estimate. Over MAX_MIS_VERTICES, as for `max_independent_set`, it
+    raises UnsupportedSizeError.
 
     `threads` has no effect; it stays while `perfbench/workloads.py` passes it.
     """

@@ -296,6 +296,14 @@ ALPHA_STDOUT_DIGESTS = [
      "48ffb9090698565e78484ce6acdde6c37e6c9b363aca4a556c156b0ea80d171c"),
     (("alphastar", "--graph", "shift:8", "--mode", "mc", "--samples", "500", "--seed", "4"),
      "9874dcd1bd5d5c6d694eac850bbe889d67f0dfa853b41c8bb583482354c6eee6"),
+    # recorded before the size-only search peeled on lanes: the first has
+    # degrees over MAX_LANE_DEGREE, so it runs _peel at every node
+    (("alphastar", "--graph", "gnp:150:0.9:2", "--mode", "mc", "--samples", "200",
+      "--seed", "4"),
+     "fd65f2ea276a3d217517e6c73c68d13c2ef554b87cda0b37af15beeb6e16a1bd"),
+    (("alphastar", "--graph", "kneser:3", "--power", "2", "--mode", "mc", "--samples", "500",
+      "--seed", "4"),
+     "1941bddc8163cb773a5a2c61cb559471d06005798d31366ef0f63fdbda857556"),
 ]
 
 

@@ -637,8 +637,16 @@ def _hub(d: int) -> Graph:
     return Graph(d + 1, tuple(adj), (False,) * (d + 1), f"hub({d})")
 
 
-@pytest.mark.parametrize("d,lanes", [(127, True), (128, False)])
-def test_mis_search_at_the_lane_width_boundary(d, lanes, monkeypatch):
+@pytest.mark.parametrize(
+    "d,lanes,search",
+    [
+        pytest.param(127, True, "mis", id="127-True"),
+        pytest.param(128, False, "mis", id="128-False"),
+        pytest.param(127, True, "size", id="size-127-True"),
+        pytest.param(128, False, "size", id="size-128-False"),
+    ],
+)
+def test_mis_search_at_the_lane_width_boundary(d, lanes, search, monkeypatch):
     # a lane holds 0x80 + degree in one byte: 127 still fits, 128 sends every node to _peel
     g = _hub(d)
     core = _peel(g.adj, g.eligible)[0]
@@ -646,8 +654,14 @@ def test_mis_search_at_the_lane_width_boundary(d, lanes, monkeypatch):
     built = []
     real = graphs_module._byte_lanes
     monkeypatch.setattr(graphs_module, "_byte_lanes", lambda m: built.append(m) or real(m))
-    got = _mis_search(g.adj, g.eligible)
-    assert got == reference_mis_search(g.adj, g.eligible) and got[2] > 1
+    want = reference_mis_search(g.adj, g.eligible)
+    if search == "mis":
+        got = _mis_search(g.adj, g.eligible)
+        assert got == want and got[2] > 1
+    else:
+        assert mis_size_in_subset(g, g.eligible) == want[0]
+        # the root branched, so it fetched the graph's table: None over the width
+        assert "lane_drop" in vars(g) and (g.lane_drop is not None) == lanes
     assert bool(built) == lanes
 
 
@@ -657,7 +671,38 @@ def test_mis_search_that_closes_at_the_root_builds_no_lanes(spec, monkeypatch):
         raise AssertionError("lanes built for a root that closes")
 
     monkeypatch.setattr(graphs_module, "_byte_lanes", refuse)
-    assert max_independent_set(_pinned_graph(spec)).nodes_explored == 1
+    g = _pinned_graph(spec)
+    res = max_independent_set(g)
+    assert res.nodes_explored == 1
+    # the size-only root closes too, so the graph's lane table is never built
+    assert mis_size_in_subset(g, g.eligible) == res.size
+    assert "lane_drop" not in vars(g)
+
+
+def test_lane_table_belongs_to_its_graph():
+    # Graphs built and dropped in turn reuse one another's ids, and all carry
+    # one label here: a table cached by id or by label would be another
+    # graph's. An edge added to a graph must not inherit its table either.
+    branched = 0
+    for seed in range(200):
+        g = random_graph(30, 0.3, seed)
+        g = Graph(g.vcount, g.adj, g.self_loop, "g")
+        assert mis_size_in_subset(g, g.eligible) == _mis_search(g.adj, g.eligible)[0]
+        branched += vars(g).get("lane_drop") is not None
+    assert branched > 100
+    g = random_graph(16, 0.3, 0)
+    alpha = mis_size_in_subset(g, g.eligible)
+    assert alpha == brute_force_alpha(g) and g.lane_drop is not None
+    h = next(
+        h
+        for u, v in combinations(range(g.vcount), 2)
+        if not g.has_edge(u, v)
+        for h in [g.with_edge(u, v)]
+        if _mis_search(h.adj, h.eligible)[0] < alpha
+    )
+    assert "lane_drop" not in vars(h)
+    assert mis_size_in_subset(h, h.eligible) == brute_force_alpha(h) < alpha
+    assert h.lane_drop is not None and h.lane_drop != g.lane_drop
 
 
 # (sum of sizes, nodes of the size-only search) over the subsets
@@ -671,6 +716,8 @@ PINNED_SIZE_SEARCH_TREES = [
     ("kneser:4xkneser:3", 1463, 139),
     ("kneser:4^2", 2993, 790),
     ("gnp:80:0.1:1", 948, 379),
+    # dense: degrees up to 142, over MAX_LANE_DEGREE, so every node runs _peel
+    ("gnp:150:0.9:2", 183, 4915),
 ]
 
 
@@ -749,8 +796,9 @@ def test_searches_recurse_past_the_default_limit_on_cores_over_1000_vertices(
         (maximum_independent_sets, 6),
         (inclusion_maximal_independent_sets, 6),
         (min_graph_blocker, 4),
+        (lambda g: mis_size_in_subset(g, g.eligible), 6),
     ],
-    ids=["max-set", "maximum-sets", "maximal-sets", "graph-blocker"],
+    ids=["max-set", "maximum-sets", "maximal-sets", "graph-blocker", "size-in-subset"],
 )
 def test_searches_leave_no_reference_cycle(search, m):
     # a search that calls itself through its enclosing scope keeps its state

@@ -223,11 +223,11 @@ def test_mis_size_matches_mis_search_and_branches_both_ways():
     siblings = [[]]
     real = graphs_module._mis_size_node
 
-    def counting(adj, p, size, best):
+    def counting(adj, drop, p, deg, size, best):
         siblings[-1].append(size)
         siblings.append([])
         try:
-            return real(adj, p, size, best)
+            return real(adj, drop, p, deg, size, best)
         finally:
             kids = siblings.pop()
             if kids:
