@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 import struct
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -53,18 +52,21 @@ class Graph:
 
     @cached_property
     def lane_drop(self) -> list[int] | None:
-        """Per-vertex rows of the size-only search's degree vector, or None.
+        """Per-vertex rows of the MIS searches' degree vector, or None.
 
-        Row v is 0x80 in byte lane v plus one in the lane of each neighbour
-        of v: subtracting it takes v out of the vector that `_lane_peel`
-        reads. None when some degree is over MAX_LANE_DEGREE, as a lane
-        then cannot hold it. Built on first use, by the first size-only
-        root that branches, it lives as long as the graph: vcount^2 bytes,
+        Row v is 0x80 in byte lane v plus one in the lane of each eligible
+        neighbour of v: subtracting it takes v out of the vector that
+        `_lane_peel` reads. Pools hold eligible vertices only, so the lane of
+        a self-looped vertex stays 0. None when some eligible vertex has more
+        than MAX_LANE_DEGREE eligible neighbours, as its lane then cannot
+        hold its degree. Built on first use, by the first root of either
+        search that branches, it lives as long as the graph: vcount^2 bytes,
         4 KiB at 64 vertices and 16 MiB at the MAX_MIS_VERTICES cap.
         """
-        if any(a.bit_count() > MAX_LANE_DEGREE for a in self.adj):
+        rows = [a & self.eligible for a in self.adj]
+        if any(rows[v].bit_count() > MAX_LANE_DEGREE for v in _bits(self.eligible)):
             return None
-        return [_byte_lanes(a) + (0x80 << 8 * v) for v, a in enumerate(self.adj)]
+        return [_byte_lanes(a) + (0x80 << 8 * v) for v, a in enumerate(rows)]
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -318,20 +320,20 @@ def _byte_lanes(m: int) -> int:
 
 
 def _lane_peel(
-    adj: tuple[int, ...], drop: list[int], width: int, p: int, deg: int
+    adj: tuple[int, ...], drop: list[int], p: int, deg: int
 ) -> tuple[int, int, int, bytes]:
     """`_peel` on a degree vector: (p left, deg left, taken, lanes of deg left).
 
-    deg holds, in byte lane v of width lanes, 0x80 + deg_p(v) while v is in
-    the pool p, and a count below 0x80 once v has left it; drop[v] takes v
-    out. Each take is a C-level search of the lanes for a 0x80 or 0x81
+    deg holds one byte lane per vertex: lane v is 0x80 + deg_p(v) while v is
+    in the pool p, and a count below 0x80 once v has left it; drop[v] takes
+    v out. Each take is a C-level search of the lanes for a 0x80 or 0x81
     byte, resumed after the last take, and the pass repeats until it takes
     nothing: `_peel`'s take order. The branch vertex `_peel` would pick is
     the first largest lane, `lanes.index(max(lanes))`, because degrees only
     fall.
     """
     taken = 0
-    lanes = deg.to_bytes(width, "little")
+    lanes = deg.to_bytes(len(adj), "little")
     start = 0
     while True:
         v = lanes.find(b"\x80", start)
@@ -352,7 +354,7 @@ def _lane_peel(
         deg -= drop[v]
         if d:
             deg -= drop[d.bit_length() - 1]
-        lanes = deg.to_bytes(width, "little")
+        lanes = deg.to_bytes(len(adj), "little")
         start = v + 1
 
 
@@ -366,8 +368,8 @@ def _drop_rows(drop: list[int] | None, deg: int | None, m: int) -> int | None:
     return deg
 
 
-def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
-    """Exact max independent set within pool: (size, set_bits, nodes).
+def _mis_search(g: Graph, pool: int) -> tuple[int, int, int]:
+    """Exact max independent set within pool, a set of eligible vertices: (size, set_bits, nodes).
 
     One recursive `node`, one frame per branch level, peels the vertices of
     degree 0 or 1 as `_peel` does and branches on the vertex that peel
@@ -377,16 +379,14 @@ def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
     check itself, so a graph that closes there builds no lanes (for K(2)^6
     they would take 21 ms, the whole search takes 6 ms).
 
-    When every degree in the root's peeled core is at most MAX_LANE_DEGREE,
-    the nodes peel with `_lane_peel` on a degree vector: one int whose byte
-    lane v holds 0x80 + deg_p(v) while v is in the pool p, and deg_p(v)
-    alone (below 0x80) once v has left it. Dropping v subtracts drop[v],
-    0x80 in lane v plus one in the lane of each core neighbour. The table
-    is built per search, from degrees within the core, so a graph whose
-    degrees pass 127 only outside the core still gets lanes. A core degree
-    over MAX_LANE_DEGREE fits no lane; then drop is None and every node
-    runs `_peel`.
+    Below the root, the nodes peel with `_lane_peel` on a degree vector: one
+    int whose byte lane v holds 0x80 + deg_p(v) while v is in the pool p,
+    and deg_p(v) alone (below 0x80) once v has left it. The root sums the
+    rows of the graph's lane table (`Graph.lane_drop`) over its core, and
+    dropping v subtracts row v. When the table is None, drop is None and
+    every node runs `_peel`.
     """
+    adj = g.adj
     best_size, best_set = _greedy_lower(adj, pool)
     core, taken, _, _ = _peel(adj, pool)
     size = taken.bit_count()
@@ -395,13 +395,7 @@ def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
         if size > best_size:
             best_size, best_set = size, taken
         return best_size, best_set, 1
-    width = core.bit_length()
-    verts = _bits(core)
-    drop = None
-    if max((adj[v] & core).bit_count() for v in verts) <= MAX_LANE_DEGREE:
-        drop = [0] * width
-        for v in verts:
-            drop[v] = _byte_lanes(adj[v] & core) + (0x80 << 8 * v)
+    drop = g.lane_drop
     nodes = 0
 
     def node(p: int, deg: int | None, size: int, chosen: int) -> None:
@@ -410,7 +404,7 @@ def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
         if drop is None:
             p, taken, branch, _ = _peel(adj, p)
         else:
-            p, deg, taken, lanes = _lane_peel(adj, drop, width, p, deg)
+            p, deg, taken, lanes = _lane_peel(adj, drop, p, deg)
         size += taken.bit_count()
         chosen |= taken
         if not _cover_rest(adj, p, best_size - size):
@@ -426,7 +420,7 @@ def _mis_search(adj: tuple[int, ...], pool: int) -> tuple[int, int, int]:
 
     # node 1 is the root again: its core peels nothing more and passes the same check
     try:
-        node(core, None if drop is None else sum(drop), size, taken)
+        node(core, None if drop is None else sum(drop[v] for v in _bits(core)), size, taken)
     finally:
         del node  # node reaches itself through this scope: break the cycle
     return best_size, best_set, nodes
@@ -449,7 +443,7 @@ def max_independent_set(g: Graph) -> MisResult:
             f"exact MIS supports up to {MAX_MIS_VERTICES} vertices, got {g.vcount}; "
             "use a sampling lower bound instead"
         )
-    size, set_bits, nodes = _with_recursion_room(g.eligible, _mis_search, g.adj, g.eligible)
+    size, set_bits, nodes = _with_recursion_room(g.eligible, _mis_search, g, g.eligible)
     _verify_independent(g, set_bits)
     return MisResult(
         set_bits=set_bits,
@@ -486,14 +480,7 @@ def _min_degree_greedy(adj: tuple[int, ...], pool: int) -> tuple[int, int]:
     return chosen.bit_count(), chosen
 
 
-def _mis_size_node(
-    adj: tuple[int, ...],
-    drop: Callable[[], list[int] | None] | list[int] | None,
-    p: int,
-    deg: int | None,
-    size: int,
-    best: int | None,
-) -> int:
+def _mis_size_node(g: Graph, p: int, deg: int | None, size: int, best: int | None) -> int:
     """max(best, size + alpha of p), by the size-only search of `mis_size_in_subset`.
 
     Unlike `_mis_search`, whose set and node count `hatlab alpha` prints and
@@ -502,17 +489,16 @@ def _mis_size_node(
 
     The root (best is None) runs `_peel` on the pool. Its incumbent is the
     peeled vertices plus `_min_degree_greedy` on the core they leave: run
-    on the raw pool, the greedy costs more than it saves. Its drop is a
-    function that returns the graph's lane table (`Graph.lane_drop`), and
-    it calls it only when it branches, so a graph whose roots all close
-    never builds the table. It then sums the table's rows over its core,
-    and every node below it peels that degree vector with `_lane_peel`,
-    each child getting its parent's vector less the rows of the vertices
-    it drops. The table is kept with the graph because one built per
-    search cost more than it saved on these small pools. When a degree is
-    over MAX_LANE_DEGREE the table is None, deg stays None, and every node
-    runs `_peel`. Both peels take the same vertices and pick the same
-    branch vertex, so the tree is the same either way.
+    on the raw pool, the greedy costs more than it saves. It reads the
+    graph's lane table (`Graph.lane_drop`) only when it branches, so a graph
+    whose roots all close never builds the table, and sums the table's rows
+    over its core. Every node below it peels that degree vector with
+    `_lane_peel`, each child getting its parent's vector less the rows of
+    the vertices it drops. The table is kept with the graph because one
+    built per search cost more than it saved on these small pools. When the
+    table is None, deg stays None and every node runs `_peel`. Both peels
+    take the same vertices and pick the same branch vertex, so the tree is
+    the same either way.
 
     The greedy clique cover then takes `best - size` cliques; an improving
     set needs a vertex of what they leave over, B (`_cover_rest`). Empty B
@@ -522,13 +508,15 @@ def _mis_size_node(
     more children than a binary branch. A larger B gets the binary
     include/exclude branch on the peel's branch vertex.
     """
+    adj = g.adj
+    root = best is None
+    drop = None if root else g.lane_drop
     if deg is None:
         p, taken, branch, branch_adj = _peel(adj, p)
         lanes = None
     else:
-        p, deg, taken, lanes = _lane_peel(adj, drop, len(adj), p, deg)
+        p, deg, taken, lanes = _lane_peel(adj, drop, p, deg)
     size += taken.bit_count()
-    root = best is None
     if root:
         best = size + _min_degree_greedy(adj, p)[0]
     if p == 0:
@@ -537,7 +525,7 @@ def _mis_size_node(
     if not rest:
         return best
     if root:
-        drop = drop()
+        drop = g.lane_drop
         if drop is not None:
             deg = sum(drop[v] for v in _bits(p))
     if rest.bit_count() <= 2:
@@ -545,9 +533,7 @@ def _mis_size_node(
             low = rest & -rest
             rest ^= low
             gone = adj[low.bit_length() - 1] & p | low
-            best = _mis_size_node(
-                adj, drop, p & ~gone, _drop_rows(drop, deg, gone), size + 1, best
-            )
+            best = _mis_size_node(g, p & ~gone, _drop_rows(drop, deg, gone), size + 1, best)
             p ^= low
             deg = _drop_rows(drop, deg, low)
         return best
@@ -555,16 +541,14 @@ def _mis_size_node(
         v = lanes.index(max(lanes))
         branch, branch_adj = 1 << v, adj[v]
     gone = branch_adj & p | branch
-    best = _mis_size_node(adj, drop, p & ~gone, _drop_rows(drop, deg, gone), size + 1, best)
-    return _mis_size_node(adj, drop, p ^ branch, _drop_rows(drop, deg, branch), size, best)
+    best = _mis_size_node(g, p & ~gone, _drop_rows(drop, deg, gone), size + 1, best)
+    return _mis_size_node(g, p ^ branch, _drop_rows(drop, deg, branch), size, best)
 
 
 def mis_size_in_subset(g: Graph, subset: int) -> int:
     """Size of the largest independent set using only vertices in `subset`."""
     pool = subset & g.eligible
-    return _with_recursion_room(
-        pool, _mis_size_node, g.adj, lambda: g.lane_drop, pool, None, 0, None
-    )
+    return _with_recursion_room(pool, _mis_size_node, g, pool, None, 0, None)
 
 
 def mis_size_all_subsets(g: Graph) -> bytes:

@@ -140,11 +140,11 @@ def epsilon_gap(
     seed: int = 0,
 ) -> GapResult:
     """alpha_bar(G) - alpha**(G), exact or estimated per `mode`."""
+    if mode not in ("exact", "mc"):
+        raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     alpha_bar = max_independent_set(g).alpha_bar
     if mode == "exact":
         a2 = alpha_star_star_exact(g)
         return GapResult(alpha_bar, a2, alpha_bar - a2, "exact")
-    if mode == "mc":
-        est = alpha_star_star_mc(g, samples, seed)
-        return GapResult(alpha_bar, est, float(alpha_bar) - est.mean, "mc")
-    raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
+    est = alpha_star_star_mc(g, samples, seed)
+    return GapResult(alpha_bar, est, float(alpha_bar) - est.mean, "mc")

@@ -656,13 +656,33 @@ def test_mis_search_at_the_lane_width_boundary(d, lanes, search, monkeypatch):
     monkeypatch.setattr(graphs_module, "_byte_lanes", lambda m: built.append(m) or real(m))
     want = reference_mis_search(g.adj, g.eligible)
     if search == "mis":
-        got = _mis_search(g.adj, g.eligible)
+        got = _mis_search(g, g.eligible)
         assert got == want and got[2] > 1
     else:
         assert mis_size_in_subset(g, g.eligible) == want[0]
         # the root branched, so it fetched the graph's table: None over the width
         assert "lane_drop" in vars(g) and (g.lane_drop is not None) == lanes
     assert bool(built) == lanes
+
+
+@pytest.mark.parametrize("search", ["mis", "size"])
+def test_self_looped_hub_stays_on_lanes(search, monkeypatch):
+    # the hub's 130 neighbours would overflow its lane, but a self-looped hub
+    # is in no pool: every eligible degree fits, so the nodes peel on lanes
+    hub = _hub(130)
+    g = Graph(hub.vcount, hub.adj, (True,) + hub.self_loop[1:], "looped-hub(130)")
+    peels = []
+    real = graphs_module._lane_peel
+    monkeypatch.setattr(graphs_module, "_lane_peel", lambda *a: peels.append(a) or real(*a))
+    want = reference_mis_search(g.adj, g.eligible)
+    if search == "mis":
+        got = _mis_search(g, g.eligible)
+        assert got == want and got[2] > 1
+    else:
+        assert mis_size_in_subset(g, g.eligible) == want[0]
+    # the root branched, so it fetched the graph's table
+    assert "lane_drop" in vars(g) and g.lane_drop is not None
+    assert peels
 
 
 @pytest.mark.parametrize("spec", ["kneser:2^6", "kneser:4"])
@@ -687,7 +707,7 @@ def test_lane_table_belongs_to_its_graph():
     for seed in range(200):
         g = random_graph(30, 0.3, seed)
         g = Graph(g.vcount, g.adj, g.self_loop, "g")
-        assert mis_size_in_subset(g, g.eligible) == _mis_search(g.adj, g.eligible)[0]
+        assert mis_size_in_subset(g, g.eligible) == _mis_search(g, g.eligible)[0]
         branched += vars(g).get("lane_drop") is not None
     assert branched > 100
     g = random_graph(16, 0.3, 0)
@@ -698,7 +718,7 @@ def test_lane_table_belongs_to_its_graph():
         for u, v in combinations(range(g.vcount), 2)
         if not g.has_edge(u, v)
         for h in [g.with_edge(u, v)]
-        if _mis_search(h.adj, h.eligible)[0] < alpha
+        if reference_mis_search(h.adj, h.eligible)[0] < alpha
     )
     assert "lane_drop" not in vars(h)
     assert mis_size_in_subset(h, h.eligible) == brute_force_alpha(h) < alpha

@@ -25,12 +25,10 @@ from hatlab.blockers import (
 )
 from hatlab.game import enumerate_family, tuple_from_index, tuple_index, winning_set
 from hatlab.graphs import (
-    MAX_LANE_DEGREE,
     Graph,
     _cover_rest,
     _min_degree_greedy,
     _mis_search,
-    _peel,
     graph_from_bytes,
     graph_from_text,
     graph_to_bytes,
@@ -223,11 +221,11 @@ def test_mis_size_matches_mis_search_and_branches_both_ways():
     siblings = [[]]
     real = graphs_module._mis_size_node
 
-    def counting(adj, drop, p, deg, size, best):
+    def counting(g, p, deg, size, best):
         siblings[-1].append(size)
         siblings.append([])
         try:
-            return real(adj, drop, p, deg, size, best)
+            return real(g, p, deg, size, best)
         finally:
             kids = siblings.pop()
             if kids:
@@ -241,7 +239,7 @@ def test_mis_size_matches_mis_search_and_branches_both_ways():
         with mock.patch.object(graphs_module, "_mis_size_node", counting):
             for _ in range(10):
                 pool = rng.getrandbits(g.vcount) & g.eligible
-                assert mis_size_in_subset(g, pool) == _mis_search(g.adj, pool)[0]
+                assert mis_size_in_subset(g, pool) == _mis_search(g, pool)[0]
 
     check()
     assert rules["binary"] > 0 and rules["multiway"] > 0, rules
@@ -249,8 +247,8 @@ def test_mis_size_matches_mis_search_and_branches_both_ways():
 
 def test_mis_search_walks_the_bitmask_reference_tree():
     # The lane search must return the bitmask search's set and node count,
-    # not just its size. Dense graphs on full pools put the peeled core over
-    # the lane limit, sparser ones or thinner pools under it.
+    # not just its size. Dense graphs put an eligible degree over the lane
+    # limit, so the graph has no lane table; sparser ones stay under it.
     sides = Counter()
 
     sparse = st.tuples(st.integers(1, 100),
@@ -268,12 +266,10 @@ def test_mis_search_walks_the_bitmask_reference_tree():
         loops = tuple(rng.random() < 0.1 for _ in range(n))
         g = Graph(n, g.adj, loops, g.label)
         pool = sum(1 << v for v in range(n) if rng.random() < keep) & g.eligible
-        got = _mis_search(g.adj, pool)
+        got = _mis_search(g, pool)
         assert got == reference_mis_search(g.adj, pool)
-        core = _peel(g.adj, pool)[0]
         if got[2] > 1:
-            over = any((g.adj[v] & core).bit_count() > MAX_LANE_DEGREE for v in range(n))
-            sides["bitmask" if over else "lanes"] += 1
+            sides["bitmask" if g.lane_drop is None else "lanes"] += 1
 
     check()
     assert sides["bitmask"] > 0 and sides["lanes"] > 0, sides

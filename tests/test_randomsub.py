@@ -229,3 +229,6 @@ def test_mc_and_gap_reject_bad_arguments():
         alpha_star_star_mc(shift_graph(4), samples=1, seed=0)
     with pytest.raises(ValueError, match="mode must be 'exact' or 'mc', got 'fast'"):
         epsilon_gap(shift_graph(4), mode="fast")
+    # the mode is checked before the exact MIS, which kneser(13) is too large for
+    with pytest.raises(ValueError, match="mode must be 'exact' or 'mc', got 'fast'"):
+        epsilon_gap(kneser(13), mode="fast")
