@@ -37,7 +37,6 @@ from .graphs import (
     edgeless_graph,
     hamming_power,
     hamming_product,
-    inclusion_maximal_independent_sets,
     kneser,
     max_independent_set,
     maximum_independent_sets,
@@ -90,7 +89,6 @@ __all__ = [
     "family_to_json",
     "hamming_power",
     "hamming_product",
-    "inclusion_maximal_independent_sets",
     "k_sequence",
     "kneser",
     "local_search_p",

@@ -66,7 +66,7 @@ def parse_beta(text) -> Fraction:
     try:
         num, _, den = text.partition("/")
         return Fraction(int(num), int(den or 1))
-    except (AttributeError, ZeroDivisionError) as exc:
+    except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"beta must be a fraction string, got {_quote(text)}") from exc
 
 

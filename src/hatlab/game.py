@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import MalformedStrategyError, UnsupportedSizeError
-from .graphs import inclusion_maximal_independent_sets, kneser
+from .graphs import kneser, maximum_independent_sets
 
 FAMILY_KINDS = ("dictator", "intersecting", "monotone")
 
@@ -116,10 +116,14 @@ def enumerate_family(kind: str, n: int) -> WinningFamily:
     """All winning sets of one kind, deterministically ordered.
 
     dictator: n up to 16. intersecting / monotone: n up to 4. The maximal
-    intersecting families are the inclusion-maximal independent sets of the
+    intersecting families are the maximum independent sets of the
     disjointness graph `kneser(n)`, whose self-looped all-zero point is in
-    none of them; the balanced monotone sets are found by exhaustive
-    enumeration.
+    none of them. That is exact: a maximal one holds the all-ones point,
+    which meets every member, and exactly one point of each other
+    complementary pair {x, ~x} (both are disjoint; with neither, maximality
+    gives a member inside ~x and one inside x, which are disjoint), so it
+    has 2^(n-1) members, the independence number of `kneser(n)`. The
+    balanced monotone sets are found by exhaustive enumeration.
     """
     if kind not in FAMILY_KINDS:
         raise ValueError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
@@ -137,7 +141,7 @@ def enumerate_family(kind: str, n: int) -> WinningFamily:
             f"n <= {MAX_ENUMERATED_N}, got n={n}"
         )
     elif kind == "intersecting":
-        sets = inclusion_maximal_independent_sets(kneser(n))
+        sets = maximum_independent_sets(kneser(n))
     else:
         sets = _balanced_monotone_sets(n)
     return WinningFamily(kind=kind, n=n, sets=tuple(sorted(sets)))
@@ -189,32 +193,6 @@ def random_strategy(family: WinningFamily, t: int, rng: random.Random) -> Strate
         tuple(rng.randrange(family.r) for _ in range(entries)) for _ in range(t)
     )
     return Strategy(n=family.n, t=t, tables=tables)
-
-
-def permute_players(strategy: Strategy, perm: tuple[int, ...]) -> Strategy:
-    """Strategy for the game with players reordered by `perm`.
-
-    perm[i] is the old index of the player now sitting at position i. The
-    winning set of the result is the coordinate-permuted winning set of the
-    input (same measure).
-    """
-    n, t = strategy.n, strategy.t
-    if sorted(perm) != list(range(t)):
-        raise ValueError(f"{perm} is not a permutation of 0..{t - 1}")
-    entries = 1 << (n * (t - 1))
-    tables = []
-    for i in range(t):
-        old_i = perm[i]
-        table = [0] * entries
-        for vis in range(entries):
-            seen = tuple_from_index(vis, n, t - 1)
-            # seen[j] is what new-player i sees at new position j (skipping i)
-            new_points = list(seen[:i]) + [0] + list(seen[i:])
-            old_points = [new_points[perm.index(j)] for j in range(t)]
-            old_vis = visible_index(tuple(old_points), old_i, n)
-            table[vis] = strategy.tables[old_i][old_vis]
-        tables.append(tuple(table))
-    return Strategy(n=n, t=t, tables=tuple(tables))
 
 
 def winning_set(strategy: Strategy, family: WinningFamily) -> int:

@@ -22,7 +22,7 @@ MAX_MIS_VERTICES = 4096
 MAX_SHIFT_M = 64
 MAX_GENERATED_VERTICES = 4096  # complete, edgeless and G(n, p) graphs
 MAX_SUBSET_DP_VERTICES = 20  # subset-DP budget; the advertised contract is vcount <= 16
-MAX_LISTED_SETS = 200_000  # sets an enumeration lists before UnsupportedSizeError
+MAX_LISTED_SETS = 200_000  # sets maximum_independent_sets lists before UnsupportedSizeError
 
 
 def _bits(m: int) -> list[int]:
@@ -590,51 +590,6 @@ def mis_size_all_subsets(g: Graph) -> bytes:
         ge = ((gathered | high) - a) & high
         a |= (a + (ge >> 7)) << (8 * lanes)
     return a.to_bytes(1 << g.vcount, "little")
-
-
-def inclusion_maximal_independent_sets(g: Graph) -> list[int]:
-    """Every inclusion-maximal independent set (Bron-Kerbosch with pivoting).
-
-    A strictly larger family than maximum_independent_sets, with the same
-    cap; useful when "largest" and "unextendable" differ.
-    """
-    eligible = g.eligible
-    nonadj = [
-        eligible & ~g.adj[v] & ~(1 << v) if eligible >> v & 1 else 0
-        for v in range(g.vcount)
-    ]
-    out: list[int] = []
-
-    def bk(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            if len(out) > MAX_LISTED_SETS:
-                raise UnsupportedSizeError(
-                    f"more than {MAX_LISTED_SETS} maximal independent sets"
-                )
-            return
-        px = p | x
-        best = -1
-        m = px
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            c = (nonadj[u] & p).bit_count()
-            if c > best:
-                best, pivot = c, u
-        cand = p & ~nonadj[pivot]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            bk(r | (1 << v), p & nonadj[v], x & nonadj[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    try:
-        _with_recursion_room(eligible, bk, 0, eligible, 0)
-    finally:
-        del bk
-    return sorted(out)
 
 
 def maximum_independent_sets(g: Graph) -> list[int]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -699,6 +700,7 @@ def test_parse_beta():
 
     assert parse_beta("1/6") == Fraction(1, 6)
     assert parse_beta("3") == 3
-    for bad in ("0/0", "1/0", "x/2", None):
-        with pytest.raises(ValueError):
+    for bad in ("0/0", "1/0", "x/2", None, "x", "1.5", "1/2/3", ""):
+        message = f"beta must be a fraction string, got {repr(bad)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_beta(bad)

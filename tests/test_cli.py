@@ -585,6 +585,21 @@ def test_blocker_verify_product_tuple_with_a_repeated_point_exits_2(tmp_path):
     )
 
 
+@pytest.mark.parametrize("source", ["flag", "family-file"])
+def test_beta_that_is_not_a_fraction_exits_2_with_the_beta_message(tmp_path, source):
+    # Python's "invalid literal for int() with base 10: 'x'" reached stderr
+    if source == "flag":
+        res = run_cli("blocker", "bound", "--k", "2", "--beta", "x")
+    else:
+        doc = {"t": 2, "n": 4, "k": 2, "beta": "x", "blockers": [[15, 240]]}
+        f = tmp_path / "fam.json"
+        f.write_text(json.dumps(doc))
+        res = run_cli("blocker", "verify", "--file", str(f))
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert res.stderr == "hatlab: beta must be a fraction string, got 'x'\n"
+
+
 def test_blocker_verify_names_the_bad_entry_of_a_long_blocker_and_exits_2(tmp_path):
     # the message used to echo all 100,001 entries, 688,948 characters
     doc = {"t": 2, "n": 4, "k": 2, "beta": "1/128", "blockers": [[0] * 100_000 + [256]]}

@@ -17,7 +17,6 @@ from hatlab.game import (
     Strategy,
     constant_strategy,
     enumerate_family,
-    permute_players,
     random_strategy,
     success_probability,
     tuple_from_index,
@@ -25,8 +24,10 @@ from hatlab.game import (
     visible_index,
     winning_set,
 )
+from hatlab.graphs import kneser, maximum_independent_sets
 from hatlab.solver import exact_p
 
+from mis_reference import inclusion_maximal_independent_sets
 from winning_set_reference import reference_winning_bits
 
 # --- independent oracles ----------------------------------------------------
@@ -158,6 +159,17 @@ def test_monotone_family_n2_is_the_dictators():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_intersecting_enumeration_matches_brute_force(n):
     assert list(enumerate_family("intersecting", n).sets) == brute_maximal_intersecting(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_maximal_intersecting_families_are_the_maximum_independent_sets_of_kneser(n):
+    # enumerate_family stops at n = 4; past it the identity it rests on is
+    # checked against the reference list of maximal sets of every size
+    maximal = inclusion_maximal_independent_sets(kneser(n))
+    half = [s for s in maximal if s.bit_count() == 1 << (n - 1)]
+    assert half == maximal
+    assert maximum_independent_sets(kneser(n)) == half
+    assert len(half) == (1, 2, 4, 12, 81)[n - 1]  # OEIS A007363
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -313,6 +325,32 @@ def test_winning_set_of_exact_witness_matches_per_tuple_reference(t, n, kind):
     family = enumerate_family(kind, n)
     witness = exact_p(t, n, kind, allow_slow=True).witness
     assert winning_set(witness, family) == reference_winning_bits(witness, family)
+
+
+def permute_players(strategy: Strategy, perm: tuple[int, ...]) -> Strategy:
+    """Strategy for the game with players reordered by `perm`.
+
+    perm[i] is the old index of the player now sitting at position i. The
+    winning set of the result is the coordinate-permuted winning set of the
+    input (same measure).
+    """
+    n, t = strategy.n, strategy.t
+    if sorted(perm) != list(range(t)):
+        raise ValueError(f"{perm} is not a permutation of 0..{t - 1}")
+    entries = 1 << (n * (t - 1))
+    tables = []
+    for i in range(t):
+        old_i = perm[i]
+        table = [0] * entries
+        for vis in range(entries):
+            seen = tuple_from_index(vis, n, t - 1)
+            # seen[j] is what new-player i sees at new position j (skipping i)
+            new_points = list(seen[:i]) + [0] + list(seen[i:])
+            old_points = [new_points[perm.index(j)] for j in range(t)]
+            old_vis = visible_index(tuple(old_points), old_i, n)
+            table[vis] = strategy.tables[old_i][old_vis]
+        tables.append(tuple(table))
+    return Strategy(n=n, t=t, tables=tuple(tables))
 
 
 @pytest.mark.parametrize("t,n", [(2, 2), (3, 2)])

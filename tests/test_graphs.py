@@ -29,7 +29,6 @@ from hatlab.graphs import (
     graph_to_text,
     hamming_power,
     hamming_product,
-    inclusion_maximal_independent_sets,
     kneser,
     max_independent_set,
     maximum_independent_sets,
@@ -39,6 +38,7 @@ from hatlab.graphs import (
     shift_graph,
 )
 
+from mis_reference import inclusion_maximal_independent_sets
 from mis_search_reference import reference_mis_search
 
 # gnp(8, 0.5, 42), frozen from the first run of the seeded generator
@@ -551,18 +551,14 @@ def test_maximum_independent_sets_enumeration():
     assert all(s.bit_count() == 9 for s in sets6)
 
 
-@pytest.mark.parametrize("which", ["maximum", "maximal"])
+@pytest.mark.parametrize("which", ["maximum"])
 def test_enumerations_refuse_more_sets_than_the_cap(which, monkeypatch):
-    # shift(4) has 16 maximum independent sets and more maximal ones
-    enumerate_sets = {
-        "maximum": maximum_independent_sets,
-        "maximal": inclusion_maximal_independent_sets,
-    }[which]
+    # shift(4) has 16 maximum independent sets
     monkeypatch.setattr(graphs_module, "MAX_LISTED_SETS", 16)
     assert len(maximum_independent_sets(shift_graph(4))) == 16
     monkeypatch.setattr(graphs_module, "MAX_LISTED_SETS", 15)
     with pytest.raises(UnsupportedSizeError, match=f"more than 15 {which} independent sets"):
-        enumerate_sets(shift_graph(4))
+        maximum_independent_sets(shift_graph(4))
 
 
 # (graph, size, nodes_explored, sha256 of hex(set_bits)), recorded before the
@@ -794,10 +790,9 @@ def test_mis_budget():
     "search,expected",
     [
         (lambda: len(maximum_independent_sets(complete_graph(1500))), 1500),
-        (lambda: inclusion_maximal_independent_sets(edgeless_graph(1100)), [(1 << 1100) - 1]),
         (lambda: mis_size_in_subset(random_graph(1100, 0.98, 1), (1 << 1100) - 1), 4),
     ],
-    ids=["maximum-sets", "maximal-sets", "size-in-subset"],
+    ids=["maximum-sets", "size-in-subset"],
 )
 def test_searches_recurse_past_the_default_limit_on_cores_over_1000_vertices(
     search, expected
@@ -814,11 +809,10 @@ def test_searches_recurse_past_the_default_limit_on_cores_over_1000_vertices(
     [
         (max_independent_set, 6),
         (maximum_independent_sets, 6),
-        (inclusion_maximal_independent_sets, 6),
         (min_graph_blocker, 4),
         (lambda g: mis_size_in_subset(g, g.eligible), 6),
     ],
-    ids=["max-set", "maximum-sets", "maximal-sets", "graph-blocker", "size-in-subset"],
+    ids=["max-set", "maximum-sets", "graph-blocker", "size-in-subset"],
 )
 def test_searches_leave_no_reference_cycle(search, m):
     # a search that calls itself through its enclosing scope keeps its state
