@@ -16,14 +16,13 @@ from __future__ import annotations
 import json
 import math
 import random
-import reprlib
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .errors import UnsupportedSizeError
+from .errors import UnsupportedSizeError, _cut, _quote
 from .game import MAX_DICTATOR_N, Strategy, WinningFamily, tuple_from_index, tuple_index
 from .graphs import Graph, _bits, maximum_independent_sets
 
@@ -42,23 +41,6 @@ def k_sequence(d: int) -> int:
     for _ in range(d - 1):
         k *= math.comb(2 * k, k)
     return k
-
-
-# error messages quote values through this: a deeply nested one stays short, and a
-# scalar is shortened only past the 60 characters that _cut lets through
-_QUOTE = reprlib.Repr()
-_QUOTE.maxlevel, _QUOTE.maxlist = 2, 8
-_QUOTE.maxlong = _QUOTE.maxstring = _QUOTE.maxother = 60
-
-
-def _quote(value) -> str:
-    """repr(value) for an error message, abbreviated to at most 60 characters."""
-    return _cut(_QUOTE.repr(value))
-
-
-def _cut(text: str) -> str:
-    """text itself when it is at most 60 characters long, else its first 57 and "..."."""
-    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def parse_beta(text) -> Fraction:
@@ -399,28 +381,25 @@ class FamilyCertification:
     blockers_covered: int
     oracle_runs: int
     failures: tuple[int, ...]  # indices of failed blockers / tuple classes
+    results: tuple[VerifyResult, ...] = ()  # each explicit blocker's verdict, in order
 
 
 def certify_family(family: BlockerFamily, winning: WinningFamily) -> FamilyCertification:
     """Run the certification oracle over a whole family.
 
-    Explicit families are checked blocker by blocker. Product families are
-    checked per equivalence class: for a fixed vector tuple Y the refutation
-    search over a complement pair {x, xbar} depends only on whether the pair
-    is {0, all-ones} (then one side has no white hat at all) or not (then
-    zeros(x) and zeros(xbar) are nonempty and disjoint), never on which pair
-    it is, so one oracle run per (tuple, pair class) certifies every product.
+    Explicit families are checked blocker by blocker, and `results` holds
+    each blocker's `VerifyResult`. Product families are checked per
+    equivalence class: for a fixed vector tuple Y the refutation search over
+    a complement pair {x, xbar} depends only on whether the pair is {0,
+    all-ones} (then one side has no white hat at all) or not (then zeros(x)
+    and zeros(xbar) are nonempty and disjoint), never on which pair it is,
+    so one oracle run per (tuple, pair class) certifies every product.
     """
     _require_dictator(winning)
     if family.blockers is not None:
-        runs = 0
-        failures = []
-        for i, b in enumerate(family.blockers):
-            res = verify_blocker(b, winning)
-            runs += 1
-            if not res.is_blocker:
-                failures.append(i)
-        return FamilyCertification(not failures, len(family.blockers), runs, tuple(failures))
+        results = tuple(verify_blocker(b, winning) for b in family.blockers)
+        failures = tuple(i for i, res in enumerate(results) if not res.is_blocker)
+        return FamilyCertification(not failures, len(results), len(results), failures, results)
 
     assert family.tuples is not None
     n = family.n

@@ -29,9 +29,8 @@ from .blockers import (
     family_from_json,
     family_to_json,
     parse_beta,
-    verify_blocker,
 )
-from .errors import UnsupportedSizeError
+from .errors import UnsupportedSizeError, _quote
 from .game import FAMILY_KINDS, enumerate_family
 from .graphs import (
     BINARY_MAGIC,
@@ -109,7 +108,7 @@ def parse_graph_spec(spec: str, power: int = 1) -> Graph:
             raise ValueError(f"unknown graph kind {head!r}")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"bad graph spec {spec!r} "
+            f"bad graph spec {_quote(spec)} "
             "(use kneser:N, shift:M, complete:M, edgeless:M or gnp:N:P:SEED)"
         ) from exc
     if power != 1:
@@ -217,11 +216,10 @@ def _cmd_blocker(args: argparse.Namespace) -> tuple[dict, int | None, int]:
     # verify
     with open(args.file) as fh:
         family = family_from_json(fh.read())
-    winning = enumerate_family("dictator", family.n)
+    cert = certify_family(family, enumerate_family("dictator", family.n))
     if family.blockers is not None:
         per = []
-        for i, b in enumerate(family.blockers):
-            res = verify_blocker(b, winning)
+        for i, res in enumerate(cert.results):
             entry: dict = {"index": i, "certified": res.is_blocker}
             if res.counterexample is not None:
                 entry["counterexample"] = {
@@ -229,10 +227,8 @@ def _cmd_blocker(args: argparse.Namespace) -> tuple[dict, int | None, int]:
                     "f2": {str(k): v for k, v in res.counterexample.f2.items()},
                 }
             per.append(entry)
-        certified = all(e["certified"] for e in per)
-        result = {"certified": certified, "blockers": per, "mode": "explicit"}
+        result = {"certified": cert.certified, "blockers": per, "mode": "explicit"}
     else:
-        cert = certify_family(family, winning)
         result = {
             "certified": cert.certified,
             "blocker_count": cert.blockers_covered,

@@ -1,4 +1,6 @@
-"""Exception types shared across hatlab modules."""
+"""Exception types shared across hatlab modules, and the quoting rule of their messages."""
+
+import reprlib
 
 
 class HatlabError(Exception):
@@ -15,3 +17,20 @@ class UnsupportedSizeError(HatlabError):
 
 class MalformedStrategyError(HatlabError):
     """A strategy's tables do not match the game's (t, n, family) shape."""
+
+
+# error messages quote values through this: a deeply nested one stays short, and a
+# scalar is shortened only past the 60 characters that _cut lets through
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel, _QUOTE.maxlist = 2, 8
+_QUOTE.maxlong = _QUOTE.maxstring = _QUOTE.maxother = 60
+
+
+def _quote(value) -> str:
+    """repr(value) for an error message, abbreviated to at most 60 characters."""
+    return _cut(_QUOTE.repr(value))
+
+
+def _cut(text: str) -> str:
+    """text itself when it is at most 60 characters long, else its first 57 and "..."."""
+    return text if len(text) <= 60 else text[:57] + "..."

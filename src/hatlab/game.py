@@ -58,15 +58,6 @@ def stream_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def visible_index(points: tuple[int, ...], i: int, n: int) -> int:
-    """Flatten the tuple seen by player i (points with coordinate i deleted)."""
-    idx = 0
-    for j, x in enumerate(points):
-        if j != i:
-            idx = (idx << n) | x
-    return idx
-
-
 @dataclass(frozen=True)
 class WinningFamily:
     """A first-level family of winning sets over {0,1}^n.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import UnsupportedSizeError
+from .errors import UnsupportedSizeError, _quote
 
 MAX_KNESER_N = 13
 MAX_PRODUCT_VERTICES = 1 << 16  # rows of v vertices cost v^2/8 bytes: 512 MiB here
@@ -96,9 +96,9 @@ def _empty_adj(n: int) -> list[int]:
 def kneser(n: int) -> Graph:
     """Disjointness graph on {0,1}^n; the all-zero vertex is self-adjacent."""
     if n <= 0:
-        raise ValueError(f"need n >= 1, got n={n}")
+        raise ValueError(f"need n >= 1, got n={_quote(n)}")
     if n > MAX_KNESER_N:
-        raise UnsupportedSizeError(f"kneser supports 1 <= n <= {MAX_KNESER_N}, got {n}")
+        raise UnsupportedSizeError(f"kneser supports 1 <= n <= {MAX_KNESER_N}, got {_quote(n)}")
     # subs[c] has bit s set for every submask s of c, built by doubling: the
     # submasks of c | h, for h above c's top bit, are those of c and each plus h
     subs = [1]
@@ -137,12 +137,12 @@ def hamming_product(g: Graph, h: Graph) -> Graph:
 
 def hamming_power(g: Graph, t: int) -> Graph:
     if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
+        raise ValueError(f"need t >= 1, got {_quote(t)}")
     # checked before any factor is built: kneser(2)^9 would first build K(2)^8.
     # Past t = 64 a graph of two or more vertices is over the cap anyway.
     if t > 1 and g.vcount ** min(t, 64) > MAX_PRODUCT_VERTICES:
         raise UnsupportedSizeError(
-            f"power would have {g.vcount}^{t} vertices, over {MAX_PRODUCT_VERTICES}"
+            f"power would have {g.vcount}^{_quote(t)} vertices, over {MAX_PRODUCT_VERTICES}"
         )
     out = g
     # a graph of at most one vertex is its own power
@@ -160,9 +160,9 @@ def shift_graph(m: int) -> Graph:
     self-adjacent.
     """
     if m <= 0:
-        raise ValueError(f"need m >= 1, got m={m}")
+        raise ValueError(f"need m >= 1, got m={_quote(m)}")
     if not 2 <= m <= MAX_SHIFT_M:
-        raise UnsupportedSizeError(f"shift_graph supports 2 <= m <= {MAX_SHIFT_M}, got {m}")
+        raise UnsupportedSizeError(f"shift_graph supports 2 <= m <= {MAX_SHIFT_M}, got {_quote(m)}")
     # (i,j) meets (j,k) for k != i and (h,i) for h != j: the row is block j
     # and column i, less their shared bit (j,i)
     block = (1 << m) - 1
@@ -177,10 +177,10 @@ def shift_graph(m: int) -> Graph:
 def _check_count(m: int, builder: str) -> None:
     # checked before any row is allocated: complete(10^6) would ask for 125 GB
     if m < 0:
-        raise ValueError(f"need a vertex count >= 0, got {m}")
+        raise ValueError(f"need a vertex count >= 0, got {_quote(m)}")
     if m > MAX_GENERATED_VERTICES:
         raise UnsupportedSizeError(
-            f"{builder} supports n <= {MAX_GENERATED_VERTICES}, got {m}"
+            f"{builder} supports n <= {MAX_GENERATED_VERTICES}, got {_quote(m)}"
         )
 
 
@@ -368,59 +368,62 @@ def _drop_rows(drop: list[int] | None, deg: int | None, m: int) -> int | None:
     return deg
 
 
+def _lane_start(g: Graph, p: int) -> int | None:
+    """The degree vector of pool p: the rows of `Graph.lane_drop` summed over p, or None."""
+    drop = g.lane_drop
+    return None if drop is None else sum(drop[v] for v in _bits(p))
+
+
 def _mis_search(g: Graph, pool: int) -> tuple[int, int, int]:
     """Exact max independent set within pool, a set of eligible vertices: (size, set_bits, nodes).
 
     One recursive `node`, one frame per branch level, peels the vertices of
-    degree 0 or 1 as `_peel` does and branches on the vertex that peel
-    picks: include it, then exclude it. A node is pruned when the greedy
-    clique cover leaves no vertex after as many cliques as there is room
-    under the incumbent (`_cover_rest`). The root runs `_peel` and this
-    check itself, so a graph that closes there builds no lanes (for K(2)^6
-    they would take 21 ms, the whole search takes 6 ms).
+    degree 0 or 1 and branches on the vertex the peel picks: include it,
+    then exclude it. A node is pruned when the greedy clique cover leaves
+    no vertex after as many cliques as there is room under the incumbent
+    (`_cover_rest`). The root is `node(pool, None, 0, 0)`.
 
-    Below the root, the nodes peel with `_lane_peel` on a degree vector: one
-    int whose byte lane v holds 0x80 + deg_p(v) while v is in the pool p,
-    and deg_p(v) alone (below 0x80) once v has left it. The root sums the
-    rows of the graph's lane table (`Graph.lane_drop`) over its core, and
-    dropping v subtracts row v. When the table is None, drop is None and
-    every node runs `_peel`.
+    A node without a degree vector (deg None) peels with `_peel`, and its
+    first branch reads the graph's lane table (`_lane_start`): a graph that
+    closes at the root builds no lanes (for K(2)^6 they would take 21 ms,
+    the whole search 6 ms). Byte lane v of deg holds 0x80 + deg_p(v) while
+    v is in the pool p and deg_p(v) once it has left; the nodes below peel
+    it with `_lane_peel`, and dropping v subtracts row v. Without a table
+    deg stays None and every node runs `_peel`. Both peels take the same
+    vertices and pick the same branch vertex, so the tree is the same.
     """
     adj = g.adj
     best_size, best_set = _greedy_lower(adj, pool)
-    core, taken, _, _ = _peel(adj, pool)
-    size = taken.bit_count()
-    if not _cover_rest(adj, core, best_size - size):
-        # a leaf, or pruned: a nonempty core is pruned only below the incumbent
-        if size > best_size:
-            best_size, best_set = size, taken
-        return best_size, best_set, 1
-    drop = g.lane_drop
     nodes = 0
 
     def node(p: int, deg: int | None, size: int, chosen: int) -> None:
         nonlocal best_size, best_set, nodes
         nodes += 1
-        if drop is None:
+        if deg is None:
             p, taken, branch, _ = _peel(adj, p)
         else:
-            p, deg, taken, lanes = _lane_peel(adj, drop, p, deg)
+            p, deg, taken, lanes = _lane_peel(adj, g.lane_drop, p, deg)
         size += taken.bit_count()
         chosen |= taken
         if not _cover_rest(adj, p, best_size - size):
+            # a leaf, or pruned: a nonempty pool is pruned only below the incumbent
             if size > best_size:
                 best_size, best_set = size, chosen
             return
+        if deg is None:
+            v = branch.bit_length() - 1
+            deg = _lane_start(g, p)
+        else:
+            v = lanes.index(max(lanes))
         # include v (drop its closed neighbourhood), then exclude it
-        v = branch.bit_length() - 1 if drop is None else lanes.index(max(lanes))
+        drop = g.lane_drop
         low = 1 << v
         nbrs = adj[v] & p
         node(p & ~(nbrs | low), _drop_rows(drop, deg, nbrs | low), size + 1, chosen | low)
         node(p ^ low, _drop_rows(drop, deg, low), size, chosen)
 
-    # node 1 is the root again: its core peels nothing more and passes the same check
     try:
-        node(core, None if drop is None else sum(drop[v] for v in _bits(core)), size, taken)
+        node(pool, None, 0, 0)
     finally:
         del node  # node reaches itself through this scope: break the cycle
     return best_size, best_set, nodes
@@ -487,47 +490,40 @@ def _mis_size_node(g: Graph, p: int, deg: int | None, size: int, best: int | Non
     tests pin, this search is free to branch differently, and it walks
     fewer nodes on the shallow subset searches of alpha** Monte Carlo.
 
-    The root (best is None) runs `_peel` on the pool. Its incumbent is the
-    peeled vertices plus `_min_degree_greedy` on the core they leave: run
-    on the raw pool, the greedy costs more than it saves. It reads the
-    graph's lane table (`Graph.lane_drop`) only when it branches, so a graph
-    whose roots all close never builds the table, and sums the table's rows
-    over its core. Every node below it peels that degree vector with
-    `_lane_peel`, each child getting its parent's vector less the rows of
-    the vertices it drops. The table is kept with the graph because one
-    built per search cost more than it saved on these small pools. When the
-    table is None, deg stays None and every node runs `_peel`. Both peels
-    take the same vertices and pick the same branch vertex, so the tree is
-    the same either way.
+    It peels as `_mis_search` does: a node without a degree vector (deg
+    None) peels with `_peel`, and at its first branch reads the graph's lane
+    table (`_lane_start`); each child gets its parent's vector less the rows
+    of the vertices it drops. The table is kept with the graph because one
+    built per search cost more than it saved on these small pools.
 
-    The greedy clique cover then takes `best - size` cliques; an improving
-    set needs a vertex of what they leave over, B (`_cover_rest`). Empty B
-    prunes. When B has at most two vertices, the node branches once per
-    vertex of B, each child dropping the vertices branched on before it:
-    the child that excludes all of B could not improve, so this never makes
-    more children than a binary branch. A larger B gets the binary
-    include/exclude branch on the peel's branch vertex.
+    The first node (best None) takes as its incumbent the peeled vertices
+    plus `_min_degree_greedy` on the core they leave: run on the raw pool,
+    the greedy costs more than it saves. The greedy clique cover then takes
+    `best - size` cliques; an improving set needs a vertex of what they
+    leave over, B (`_cover_rest`). Empty B prunes. When B has at most two
+    vertices, the node branches once per vertex of B, each child dropping
+    the vertices branched on before it: the child that excludes all of B
+    could not improve, so this never makes more children than a binary
+    branch. A larger B gets the binary include/exclude branch on the peel's
+    branch vertex.
     """
     adj = g.adj
-    root = best is None
-    drop = None if root else g.lane_drop
     if deg is None:
         p, taken, branch, branch_adj = _peel(adj, p)
         lanes = None
     else:
-        p, deg, taken, lanes = _lane_peel(adj, drop, p, deg)
+        p, deg, taken, lanes = _lane_peel(adj, g.lane_drop, p, deg)
     size += taken.bit_count()
-    if root:
+    if best is None:
         best = size + _min_degree_greedy(adj, p)[0]
     if p == 0:
         return size if size > best else best
     rest = _cover_rest(adj, p, best - size)
     if not rest:
         return best
-    if root:
-        drop = g.lane_drop
-        if drop is not None:
-            deg = sum(drop[v] for v in _bits(p))
+    if deg is None:
+        deg = _lane_start(g, p)
+    drop = g.lane_drop
     if rest.bit_count() <= 2:
         while rest:
             low = rest & -rest
@@ -637,27 +633,34 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _text_int(tok: str, line: int, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"{what} {_quote(tok)} in line {line} is not an integer") from None
+
+
 def graph_from_text(text: str) -> Graph:
     """Inverse of graph_to_text; the graph is labelled "imported".
 
-    A vertex count outside [0, MAX_PRODUCT_VERTICES] or a vertex id outside
-    [0, vcount) is a ValueError; the count is checked before any allocation.
+    A token that is not an integer, a vertex count outside [0, MAX_PRODUCT_VERTICES]
+    or a vertex id outside [0, vcount) is a ValueError naming the 1-based line
+    and the token, abbreviated; the count is checked before any allocation.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("graph text is empty; expected a vertex count line")
-    vcount = int(lines[0])
+    vcount = _text_int(lines[0][1], lines[0][0], "vertex count")
     if not 0 <= vcount <= MAX_PRODUCT_VERTICES:
-        raise ValueError(f"vertex count {vcount} outside [0, {MAX_PRODUCT_VERTICES}]")
+        raise ValueError(f"vertex count {_quote(vcount)} outside [0, {MAX_PRODUCT_VERTICES}]")
     adj = _empty_adj(vcount)
     loop = [False] * vcount
-    for ln in lines[1:]:
+    for i, ln in lines[1:]:
         head, _, rest = ln.partition(":")
-        v = int(head)
-        nbrs = [int(tok) for tok in rest.split()]
-        for u in (v, *nbrs):
+        v, *nbrs = ids = [_text_int(tok, i, "vertex") for tok in (head, *rest.split())]
+        for u in ids:
             if not 0 <= u < vcount:
-                raise ValueError(f"vertex {u} outside [0, {vcount}) in line {ln!r}")
+                raise ValueError(f"vertex {_quote(u)} outside [0, {vcount}) in line {i}")
         for u in nbrs:
             if u == v:
                 loop[v] = True

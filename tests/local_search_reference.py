@@ -17,8 +17,9 @@ from hatlab.game import (
     stream_rng,
     success_probability,
     tuple_from_index,
-    visible_index,
 )
+
+from winning_set_reference import visible_index
 
 
 def reference_local_search(

@@ -340,6 +340,23 @@ def test_certify_family_reports_the_failing_blocker():
     assert (cert.certified, cert.failures, cert.oracle_runs) == (False, (1,), 3)
 
 
+def test_certify_family_keeps_each_explicit_verdict():
+    # the verdicts `blocker verify` prints, counterexamples included
+    family = BlockerFamily(
+        t=1, n=3, k=2, beta=Fraction(5, 8),
+        blockers=tuple(
+            Blocker(t=1, n=3, points=((a,), (b,))) for a, b in ((1, 6), (2, 4), (2, 5))
+        ),
+    )
+    winning = enumerate_family("dictator", 3)
+    cert = certify_family(family, winning)
+    assert list(cert.results) == [verify_blocker(b, winning) for b in family.blockers]
+    assert cert.results[1].counterexample is not None
+    good = construct_blockers(4, 2, 0.5).tuples[0]
+    product = BlockerFamily(t=2, n=4, k=12, beta=Fraction(3, 8), tuples=[good])
+    assert certify_family(product, enumerate_family("dictator", 4)).results == ()
+
+
 def test_certify_family_reports_the_failing_product_tuple():
     good = construct_blockers(4, 2, 0.5).tuples[0]
     # every point of the second tuple is white at hat 3, so the second player

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from hatlab.cli import parse_graph_spec
 from hatlab.graphs import MAX_PRODUCT_VERTICES
 
 CLI = [sys.executable, "-m", "hatlab.cli"]
@@ -238,22 +240,40 @@ def test_record_golden_bytes():
     )
 
 
+# a hand-made family with one real blocker and one refutable set
+COUNTEREXAMPLE_FAMILY = {
+    "t": 1, "n": 3, "k": 2, "beta": "1/2", "seed": None,
+    "certified": False, "stalled": False,
+    # {001,110} covers all coordinates; {100,010} leaves bit 0 uncovered
+    "blockers": [[1, 6], [4, 2]],
+}
+
+
 def test_blocker_verify_reports_counterexample(tmp_path):
-    # a hand-made family with one real blocker and one refutable set
-    doc = {
-        "t": 1, "n": 3, "k": 2, "beta": "1/2", "seed": None,
-        "certified": False, "stalled": False,
-        # {001,110} covers all coordinates; {100,010} leaves bit 0 uncovered
-        "blockers": [[1, 6], [4, 2]],
-    }
     f = tmp_path / "fam.json"
-    f.write_text(json.dumps(doc))
+    f.write_text(json.dumps(COUNTEREXAMPLE_FAMILY))
     ver = payload("blocker", "verify", "--file", str(f))
     assert ver["result"]["certified"] is False
     entries = ver["result"]["blockers"]
     assert entries[0]["certified"] is True
     assert entries[1]["certified"] is False
     assert "counterexample" in entries[1]
+
+
+def test_blocker_verify_stdout_pinned(tmp_path):
+    # sha256 of `blocker verify` stdout, recorded while the command still ran
+    # its own oracle loop, before it printed certify_family's verdicts
+    built = run_cli("blocker", "build", "--n", "6", "--seed", "3", "--out", "fam.json",
+                    cwd=tmp_path)
+    assert built.returncode == 0, built.stderr
+    (tmp_path / "cx.json").write_text(json.dumps(COUNTEREXAMPLE_FAMILY))
+    for name, digest in (
+        ("fam.json", "996bab0e9efdb0b5cdb46b3ddc2827d604eb47861ff81e360e5ec992713fdb04"),
+        ("cx.json", "752e14f3792be4fec494ea488a0aae68b3947dc29ef95a4f3eb404df40b84a8d"),
+    ):
+        res = run_cli("blocker", "verify", "--file", name, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
 
 # sha256 of the stdout of `solve --witness`, recorded before the t=2 and t=3
@@ -482,6 +502,32 @@ def test_graph_spec_with_an_extra_field_exits_2(spec):
     assert res.returncode == 2, res.stderr
     assert res.stdout == ""
     assert f"bad graph spec {spec!r}" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["x" * 100_000, "kneser:" + "1" * 100_000, "gnp:10:0.5:" + "x" * 100_000],
+    ids=["kind", "digits", "gnp-seed"],
+)
+def test_long_graph_spec_is_quoted_short(spec):
+    # a 100,000-character spec used to be echoed in full on stderr; quoted,
+    # it takes at most 60 characters where the 3 of 'x' stand
+    def message(spec):
+        with pytest.raises(argparse.ArgumentTypeError) as info:
+            parse_graph_spec(spec)
+        return str(info.value)
+
+    assert len(message(spec)) <= len(message("x")) - 3 + 60
+    res = run_cli("alpha", "--graph", spec)
+    assert res.returncode == 2 and res.stdout == ""
+    assert "bad graph spec" in res.stderr and len(res.stderr) <= 200
+
+
+def test_graph_import_of_a_long_bad_line_is_short(tmp_path):
+    (tmp_path / "g.txt").write_text("3\n0: " + "1 " * 100_000 + "7\n")
+    res = run_cli("graph", "import", "--file", "g.txt", cwd=tmp_path)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "hatlab: vertex 7 outside [0, 3) in line 2\n"
 
 
 @pytest.mark.parametrize(

@@ -21,14 +21,13 @@ from hatlab.game import (
     success_probability,
     tuple_from_index,
     tuple_index,
-    visible_index,
     winning_set,
 )
 from hatlab.graphs import kneser, maximum_independent_sets
 from hatlab.solver import exact_p
 
 from mis_reference import inclusion_maximal_independent_sets
-from winning_set_reference import reference_winning_bits
+from winning_set_reference import reference_winning_bits, visible_index
 
 # --- independent oracles ----------------------------------------------------
 

@@ -614,6 +614,24 @@ def test_mis_search_tree_pinned(spec, size, nodes, digest):
     assert hashlib.sha256(hex(res.set_bits).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("spec", ["shift:6", "gnp:150:0.9:2"])
+def test_mis_search_runs_one_clique_cover_per_node(spec, monkeypatch):
+    # the root is the search's first node: no node, the root included, is
+    # peeled and checked twice (shift(6) has lanes, gnp(150, 0.9, 2) none)
+    calls = 0
+    real = graphs_module._cover_rest
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(graphs_module, "_cover_rest", counted)
+    res = max_independent_set(_pinned_graph(spec))
+    assert res.nodes_explored > 1
+    assert calls == res.nodes_explored
+
+
 def _hub(d: int) -> Graph:
     """Vertex 0 meets every other; 1..5 form a 5-cycle, 6..d triangles (the last may be short).
 
@@ -878,6 +896,42 @@ def test_text_vertex_out_of_range_rejected(text):
 def test_empty_graph_text_rejected(text):
     with pytest.raises(ValueError, match="graph text is empty"):
         graph_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: graph_from_text("3\n0: " + "1 " * 100_000 + "7\n"),
+        lambda: graph_from_text("3\n0: " + "x" * 100_000 + "\n"),
+        lambda: graph_from_text("3\n\n" + "9" * 100_000 + ": 1\n"),
+        lambda: graph_from_text("9" * 4300 + "\n"),
+        lambda: graph_from_text("9" * 5000 + "\n"),
+        lambda: kneser(10**4299),
+        lambda: kneser(-(10**4299)),
+        lambda: shift_graph(10**4299),
+        lambda: complete_graph(10**4299),
+        lambda: edgeless_graph(-(10**4299)),
+        lambda: hamming_power(kneser(2), 10**4299),
+    ],
+    ids=[
+        "bad-id-in-long-line", "long-token", "long-head", "4300-digit-count",
+        "5000-digit-count", "kneser", "kneser-neg", "shift", "complete", "edgeless-neg",
+        "power",
+    ],
+)
+def test_error_messages_do_not_echo_a_long_input(make):
+    # a bad id in a 100,000-id line used to echo the line: 200,041 characters
+    with pytest.raises((ValueError, UnsupportedSizeError)) as info:
+        make()
+    assert len(str(info.value)) <= 120
+
+
+def test_text_import_error_names_the_line_and_the_id():
+    with pytest.raises(ValueError) as info:
+        graph_from_text("3\n\n0: 1\n1: 2 7\n")
+    assert str(info.value) == "vertex 7 outside [0, 3) in line 4"
+    with pytest.raises(ValueError, match="vertex 'x' in line 2 is not an integer"):
+        graph_from_text("3\n0: x\n")
 
 
 @pytest.mark.parametrize("vcount", [MAX_PRODUCT_VERTICES + 1, (1 << 20) + 1, 1 << 70, -1])

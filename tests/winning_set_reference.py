@@ -3,12 +3,22 @@
 It decodes every tuple index and asks each player in turn whether the member
 she names holds her point, straight from the definition. It shares no code
 with the slice-built ``hatlab.game.winning_set``, so the two must return the
-same bits.
+same bits. ``visible_index`` flattens what a player sees for it and for the
+reference ascent in ``local_search_reference``.
 """
 
 from __future__ import annotations
 
-from hatlab.game import Strategy, WinningFamily, tuple_from_index, visible_index
+from hatlab.game import Strategy, WinningFamily, tuple_from_index
+
+
+def visible_index(points: tuple[int, ...], i: int, n: int) -> int:
+    """Flatten the tuple seen by player i (points with coordinate i deleted)."""
+    idx = 0
+    for j, x in enumerate(points):
+        if j != i:
+            idx = (idx << n) | x
+    return idx
 
 
 def reference_winning_bits(strategy: Strategy, family: WinningFamily) -> int:
