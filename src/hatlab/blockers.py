@@ -36,7 +36,7 @@ def k_sequence(d: int) -> int:
     time to materialize, anything beyond is refused.
     """
     if not 1 <= d <= 4:
-        raise UnsupportedSizeError(f"k_sequence supports 1 <= d <= 4, got {d}")
+        raise UnsupportedSizeError(f"k_sequence supports 1 <= d <= 4, got {_quote(d)}")
     k = 2
     for _ in range(d - 1):
         k *= math.comb(2 * k, k)
@@ -56,10 +56,10 @@ def decrement_bound(k: int, beta) -> Fraction:
     """The guaranteed drop in success probability one blocker family buys:
     2^(-2k-2) * beta / k."""
     if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+        raise ValueError(f"need k >= 1, got {_quote(k)}")
     beta = Fraction(beta)
     if not 0 < beta <= 1:
-        raise ValueError(f"need 0 < beta <= 1, got {beta}")
+        raise ValueError(f"need 0 < beta <= 1, got {_cut(str(beta))}")
     return beta / (k << (2 * k + 2))
 
 
@@ -277,7 +277,7 @@ class BlockerFamily:
 def base_blockers(n: int) -> BlockerFamily:
     """The t=1 family: every complement pair {x, xbar}. Union measure 1."""
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise ValueError(f"need n >= 1, got {_quote(n)}")
     full = (1 << n) - 1
     blockers = tuple(
         Blocker(t=1, n=n, points=((x,), (full ^ x,)))
@@ -311,7 +311,7 @@ def construct_blockers(
     [4, MAX_DICTATOR_N] raises UnsupportedSizeError before any work.
     """
     if n <= 0:
-        raise ValueError(f"need n >= 1, got n={n}")
+        raise ValueError(f"need n >= 1, got n={_quote(n)}")
     if n < PARTS:
         raise UnsupportedSizeError(
             f"need n >= {PARTS} so the partition can have nonempty parts, got {n}"
@@ -319,7 +319,7 @@ def construct_blockers(
     # the limit family_from_json enforces; the coverage bitmask has 2^n bits
     if n > MAX_DICTATOR_N:
         raise UnsupportedSizeError(
-            f"blocker construction supports n <= {MAX_DICTATOR_N}, got {n}"
+            f"blocker construction supports n <= {MAX_DICTATOR_N}, got {_quote(n)}"
         )
     # compared before Fraction(), which raises OverflowError on an infinite float
     if not 0 <= delta < 1:
@@ -331,7 +331,7 @@ def construct_blockers(
     if stall_limit is None:
         stall_limit = 50 * expected_tuples
     elif stall_limit < 0:
-        raise ValueError(f"need stall_limit >= 0, got {stall_limit}")
+        raise ValueError(f"need stall_limit >= 0, got {_quote(stall_limit)}")
 
     rng = random.Random(seed)
     covered = 0

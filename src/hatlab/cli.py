@@ -185,7 +185,7 @@ def _cmd_blocker(args: argparse.Namespace) -> tuple[dict, int | None, int]:
             val = decrement_bound(args.k, beta)
         if val is None or val.denominator >= _UNPRINTABLE:
             raise UnsupportedSizeError(
-                f"the bound for k={args.k} has a denominator of more than "
+                f"the bound for k={_quote(args.k)} has a denominator of more than "
                 f"{MAX_PRINTED_DIGITS} digits, the most an integer prints with"
             )
         return dict(frac_fields(val), k=args.k), None, EXIT_OK

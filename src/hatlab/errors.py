@@ -19,9 +19,17 @@ class MalformedStrategyError(HatlabError):
     """A strategy's tables do not match the game's (t, n, family) shape."""
 
 
+class _Repr(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # past sys.get_int_max_str_digits() an int has no repr
+            return f"<int of {x.bit_length()} bits>"
+
+
 # error messages quote values through this: a deeply nested one stays short, and a
 # scalar is shortened only past the 60 characters that _cut lets through
-_QUOTE = reprlib.Repr()
+_QUOTE = _Repr()
 _QUOTE.maxlevel, _QUOTE.maxlist = 2, 8
 _QUOTE.maxlong = _QUOTE.maxstring = _QUOTE.maxother = 60
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import MalformedStrategyError, UnsupportedSizeError
+from .errors import MalformedStrategyError, UnsupportedSizeError, _quote
 from .graphs import kneser, maximum_independent_sets
 
 FAMILY_KINDS = ("dictator", "intersecting", "monotone")
@@ -117,19 +117,19 @@ def enumerate_family(kind: str, n: int) -> WinningFamily:
     balanced monotone sets are found by exhaustive enumeration.
     """
     if kind not in FAMILY_KINDS:
-        raise ValueError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
+        raise ValueError(f"unknown family kind {_quote(kind)}; expected one of {FAMILY_KINDS}")
     if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
+        raise ValueError(f"need n >= 1, got n={_quote(n)}")
     if kind == "dictator":
         if n > MAX_DICTATOR_N:
             raise UnsupportedSizeError(
-                f"dictator families support n <= {MAX_DICTATOR_N}, got n={n}"
+                f"dictator families support n <= {MAX_DICTATOR_N}, got n={_quote(n)}"
             )
         sets = _dictator_sets(n)
     elif n > MAX_ENUMERATED_N:
         raise UnsupportedSizeError(
             f"{kind} families are enumerated exhaustively only for "
-            f"n <= {MAX_ENUMERATED_N}, got n={n}"
+            f"n <= {MAX_ENUMERATED_N}, got n={_quote(n)}"
         )
     elif kind == "intersecting":
         sets = maximum_independent_sets(kneser(n))

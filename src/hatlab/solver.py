@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import MalformedStrategyError, UnsupportedSizeError
+from .errors import MalformedStrategyError, UnsupportedSizeError, _quote
 from .game import (
     Strategy,
     WinningFamily,
@@ -27,7 +27,7 @@ from .game import (
 
 MAX_LAST_PLAYER_TABLES = 70_000
 # allow_slow budget: the 4^16 tables of the t=2, n=4 dictator kind walk in
-# about half a minute; the intersecting kind's 12^16 ran 300 s without finishing
+# about 17 s; the intersecting kind's 12^16 ran 300 s without finishing
 MAX_SLOW_LAST_PLAYER_TABLES = 4**16
 MAX_TABLE_INPUT_BITS = 16
 MAX_EVAL_BITS = 20
@@ -128,18 +128,25 @@ def _scan_last_player(
     f(u[x]) = max_w |w & u[x]| = score[u[x]], read from a table of f over all
     unions (`_score_table`). f is monotone and rises by at most 1 when u[x]
     gains one entry. Setting entry e to member i raises only the points of
-    holders[i], by up[x], and each later entry raises at most hmax points, so
-    a child scores at most its own total plus hmax per entry after e (the
-    budget bound). A child is cut when that bound is <= the incumbent; at the
-    last entry the bound is its exact total. Cuts are strict, so the first
-    optimum in product order survives. Returns (total, table, nodes walked).
+    holders[i], by up[x]. A point that every member holds gains every entry
+    whatever the table, so it ends on the full union: after entry e its gain
+    still to come is exactly score[full] - score[entries 0..e]. Each later
+    entry raises at most hmax of the other points (the most of them one
+    member holds), by at most 1 each. So a child scores at most its own
+    total, plus hmax per entry after e, plus the known gain of the points in
+    every member (the budget bound). A child is cut when that bound is <= the
+    incumbent; at the last entry the bound is its exact total. Cuts are
+    strict, so the first optimum in product order survives. Returns (total,
+    table, nodes walked).
     """
     holders = [[x for x, mem in enumerate(members) if i in mem] for i in range(r)]
     # a mask inside another never scores more, so the walk scores maximal masks only
     score = _score_table(
         [w for w in wins if not any(w != v and w | v == v for v in wins)], entries
     )
-    hmax = max(map(len, holders))
+    every = sum(len(mem) == r for mem in members)
+    hmax = max(map(len, holders)) - every
+    full = score[-1]
     u = [0] * len(members)
     table = [0] * entries
     top, top_table, nodes = -1, None, 0
@@ -148,7 +155,7 @@ def _scan_last_player(
         nonlocal top, top_table, nodes
         nodes += 1
         bit = 1 << e
-        budget = (entries - e - 1) * hmax
+        budget = (entries - e - 1) * hmax + every * (full - score[2 * bit - 1])
         last = e + 1 == entries
         up = [score[v | bit] - score[v] for v in u]
         for i, xs in enumerate(holders):
@@ -228,7 +235,7 @@ def exact_p(
     one bounded last-player walk over r^(2^(n(t-1))) tables. Up to 70000
     tables it runs freely (t=2, n <= 3 for the three standard kinds); t=3
     (n=2) and t=2 spaces of up to 4^16 tables (the n=4 dictator kind, about
-    30 s) run behind allow_slow. Larger t=2 spaces, such as the n=4
+    17 s) run behind allow_slow. Larger t=2 spaces, such as the n=4
     intersecting and monotone kinds, raise UnsupportedSizeError. Within
     these budgets the last player's table has at most 16 entries, so the
     walk's score table (one byte per union of entries) is at most 64 KiB.
@@ -237,11 +244,11 @@ def exact_p(
     `perfbench/workloads.py` passes it.
     """
     if t < 1:
-        raise ValueError(f"need t >= 1, got t={t}")
+        raise ValueError(f"need t >= 1, got t={_quote(t)}")
     family = enumerate_family(kind, n)
     if t == 1 or n == 1:
         if t > 20:
-            raise UnsupportedSizeError(f"n=1 games support t <= 20, got t={t}")
+            raise UnsupportedSizeError(f"n=1 games support t <= 20, got t={_quote(t)}")
         # every member holds half the points, so at t=1 all constant
         # strategies tie; at n=1 the one member is the only choice
         assert all(w.bit_count() == 1 << (n - 1) for w in family.sets)
@@ -262,19 +269,19 @@ def exact_p(
             return _exact_last_player(family, t)
         if n_tables > MAX_SLOW_LAST_PLAYER_TABLES:
             raise UnsupportedSizeError(
-                f"t={t} exact solving enumerates {n_tables} tables for (n={n}, {kind}), "
+                f"t={t} exact solving enumerates {_quote(n_tables)} tables for (n={n}, {kind}), "
                 f"over the allow_slow budget of {MAX_SLOW_LAST_PLAYER_TABLES}; no exact "
                 "engine reaches it yet (an MIS bound on the Kneser power is the planned "
                 "route); use local_search_p"
             )
         raise UnsupportedSizeError(
-            f"t={t} exact solving enumerates {n_tables} tables for (n={n}, {kind}), "
+            f"t={t} exact solving enumerates {_quote(n_tables)} tables for (n={n}, {kind}), "
             f"over the {MAX_LAST_PLAYER_TABLES} budget; pass allow_slow=True "
             f"(the CLI flag --allow-slow; up to {MAX_SLOW_LAST_PLAYER_TABLES} tables) "
             "or use local_search_p"
         )
     raise UnsupportedSizeError(
-        f"exact_p has no engine for (t={t}, n={n}, {kind}); use local_search_p"
+        f"exact_p has no engine for (t={_quote(t)}, n={n}, {kind}); use local_search_p"
     )
 
 
@@ -308,18 +315,18 @@ def local_search_p(
     `success_probability` re-checks the returned witness once against it.
     """
     if restarts < 1:
-        raise ValueError(f"need restarts >= 1, got {restarts}")
+        raise ValueError(f"need restarts >= 1, got {_quote(restarts)}")
     if t < 1:
-        raise ValueError(f"need t >= 1, got t={t}")
+        raise ValueError(f"need t >= 1, got t={_quote(t)}")
     if t == 1:
         raise UnsupportedSizeError("local search needs t >= 2; t=1 is exact anyway")
     if n * (t - 1) > MAX_TABLE_INPUT_BITS:
         raise UnsupportedSizeError(
-            f"table input space 2^{n * (t - 1)} exceeds 2^{MAX_TABLE_INPUT_BITS}"
+            f"table input space 2^{_quote(n * (t - 1))} exceeds 2^{MAX_TABLE_INPUT_BITS}"
         )
     if n * t > MAX_EVAL_BITS:
         raise UnsupportedSizeError(
-            f"tuple space 2^{n * t} exceeds the 2^{MAX_EVAL_BITS} evaluation budget"
+            f"tuple space 2^{_quote(n * t)} exceeds the 2^{MAX_EVAL_BITS} evaluation budget"
         )
     family = enumerate_family(kind, n)
     size, total = 1 << n, 1 << (n * t)

@@ -729,6 +729,55 @@ def test_unsupported_size_exits_3():
     assert "unsupported" in res.stderr
 
 
+NINES = "9" * 4300  # the longest integer argparse's int() reads
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (("solve", "--t", NINES, "--n", "2"), 3),
+        (("solve", "--t", "-" + NINES, "--n", "2"), 2),
+        (("solve", "--t", "2", "--n", NINES), 3),
+        (("solve", "--t", "2", "--n", NINES, "--mode", "search"), 3),
+        (("solve", "--t", "3", "--n", "2", "--mode", "search", "--restarts", "-" + NINES), 2),
+        (("family", "--kind", "dictator", "--n", NINES), 3),
+        (("blocker", "build", "--n", NINES, "--seed", "1"), 3),
+        (("blocker", "build", "--n", "6", "--seed", "1", "--stall-limit", "-" + NINES), 2),
+        (("blocker", "bound", "--k", NINES, "--beta", "1/2"), 3),
+        (("blocker", "bound", "--k", "-" + NINES, "--beta", "1/2"), 2),
+        (("blocker", "bound", "--k", "3", "--beta", NINES), 2),
+    ],
+    ids=[
+        "solve-t", "solve-negative-t", "solve-n", "search-n", "search-restarts",
+        "family-n", "blocker-build-n", "blocker-stall-limit", "blocker-bound-k",
+        "blocker-bound-negative-k", "blocker-bound-beta",
+    ],
+)
+def test_a_huge_integer_argument_is_quoted_short(args, code):
+    # each echoed its 4300 digits in full, about 4.3 KB of stderr
+    res = run_cli(*args)
+    assert res.returncode == code, res.stderr
+    assert res.stdout == "" and len(res.stderr.encode()) < 400
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve", "--t", NINES, "--n", NINES, "--mode", "search"),
+        ("solve", "--t", "2", "--n", "12"),
+        ("solve", "--t", "2", "--n", "16"),
+    ],
+    ids=["search-t-times-n", "exact-n12", "exact-n16"],
+)
+def test_a_size_past_the_printable_digits_still_exits_3(args):
+    # n(t-1) and r^(2^n) have more than 4300 digits: printing them in the
+    # message raised ValueError, which exited 2 with a message about str()
+    res = run_cli(*args)
+    assert res.returncode == 3, res.stderr
+    assert res.stdout == "" and len(res.stderr.encode()) < 400
+    assert "bits>" in res.stderr
+
+
 @pytest.mark.parametrize("spec", ["complete:4097", "edgeless:4097"])
 @pytest.mark.parametrize(
     "command", [("alpha",), ("alphastar", "--mode", "mc", "--samples", "2")],
