@@ -335,11 +335,10 @@ def construct_blockers(
 
     rng = random.Random(seed)
     covered = 0
-    covered_count = 0
     kept: list[tuple[int, ...]] = []
     consecutive = 0
     stalled = False
-    while Fraction(covered_count, size) < target:
+    while Fraction(ELL * len(kept), size) < target:
         labels = [rng.randrange(PARTS) for _ in range(n)]
         parts = [0] * PARTS
         for coord, lab in enumerate(labels):
@@ -358,14 +357,13 @@ def construct_blockers(
         consecutive = 0
         for y in ys:
             covered |= 1 << y
-        covered_count += ELL
         kept.append(ys)
 
     family = BlockerFamily(
         t=2,
         n=n,
         k=2 * ELL,
-        beta=Fraction(covered_count, size),
+        beta=Fraction(ELL * len(kept), size),
         seed=seed,
         tuples=tuple(kept),
         stalled=stalled,
@@ -583,10 +581,7 @@ def min_graph_blocker(g: Graph) -> tuple[int, tuple[int, ...]]:
             return chosen
         if remaining == 0:
             return None
-        m = first_unhit
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
+        for v in _bits(first_unhit):
             got = extend(chosen | (1 << v), remaining - 1)
             if got is not None:
                 return got

@@ -123,12 +123,7 @@ def hamming_product(g: Graph, h: Graph) -> Graph:
     adj = _empty_adj(vcount)
     for x in range(g.vcount):
         # row (x, v) is h's row v in fiber x plus bit (y, v) for each neighbour y of x
-        fiber = 0
-        m = g.adj[x]
-        while m:
-            low = m & -m
-            fiber |= 1 << (low.bit_length() - 1) * hv
-            m ^= low
+        fiber = sum(1 << y * hv for y in _bits(g.adj[x]))
         base = x * hv
         adj[base : base + hv] = [a << base | fiber << v for v, a in enumerate(h.adj)]
     loop = [gl or hl for gl in g.self_loop for hl in h.self_loop]
@@ -274,25 +269,23 @@ def _greedy_lower(adj: tuple[int, ...], pool: int) -> tuple[int, int]:
     return chosen.bit_count(), chosen
 
 
-def _peel(adj: tuple[int, ...], p: int) -> tuple[int, int, int, int]:
-    """Take every vertex of degree 0 or 1 in p: (p left, taken, branch, branch_adj).
+def _peel(adj: tuple[int, ...], p: int) -> tuple[int, int, int]:
+    """Take every vertex of degree 0 or 1 in p: (p left, taken, branch).
 
     Taking such a vertex is always safe. The scan is ascending and repeats
     until a pass takes nothing; that pass has every degree at hand, so it
-    also picks the branch vertex (a one-bit mask, maximum degree in p, lowest
-    index on ties) and its adjacency row. Both are meaningless when no
-    vertex is left.
+    also picks the branch vertex: a one-bit mask, maximum degree in p,
+    lowest index on ties. It is meaningless when no vertex is left.
     """
     taken = 0
-    branch = branch_adj = 0
+    branch = 0
     while True:
         peeled = False
         branch_deg = -1
         m = p
         while m:
             low = m & -m
-            a = adj[low.bit_length() - 1]
-            d = a & p
+            d = adj[low.bit_length() - 1] & p
             if d & (d - 1) == 0:
                 # degree 0 or 1: take the vertex, drop it and its neighbour
                 p ^= d | low
@@ -304,9 +297,9 @@ def _peel(adj: tuple[int, ...], p: int) -> tuple[int, int, int, int]:
                 if not peeled:
                     c = d.bit_count()
                     if c > branch_deg:
-                        branch_deg, branch, branch_adj = c, low, a
+                        branch_deg, branch = c, low
         if not peeled:
-            return p, taken, branch, branch_adj
+            return p, taken, branch
 
 
 # a byte lane holds 0x80 + degree, so a degree vector needs every degree <= 127
@@ -400,7 +393,7 @@ def _mis_search(g: Graph, pool: int) -> tuple[int, int, int]:
         nonlocal best_size, best_set, nodes
         nodes += 1
         if deg is None:
-            p, taken, branch, _ = _peel(adj, p)
+            p, taken, branch = _peel(adj, p)
         else:
             p, deg, taken, lanes = _lane_peel(adj, g.lane_drop, p, deg)
         size += taken.bit_count()
@@ -498,47 +491,42 @@ def _mis_size_node(g: Graph, p: int, deg: int | None, size: int, best: int | Non
 
     The first node (best None) takes as its incumbent the peeled vertices
     plus `_min_degree_greedy` on the core they leave: run on the raw pool,
-    the greedy costs more than it saves. The greedy clique cover then takes
-    `best - size` cliques; an improving set needs a vertex of what they
-    leave over, B (`_cover_rest`). Empty B prunes. When B has at most two
-    vertices, the node branches once per vertex of B, each child dropping
-    the vertices branched on before it: the child that excludes all of B
-    could not improve, so this never makes more children than a binary
-    branch. A larger B gets the binary include/exclude branch on the peel's
-    branch vertex.
+    the greedy costs more than it saves. The one prune is the greedy clique
+    cover: an improving set needs a vertex of what its first `best - size`
+    cliques leave over, B (`_cover_rest`), and an empty B returns
+    max(size, best). That covers the leaf too: an empty pool leaves an
+    empty B. One loop then makes the include children, each dropping the
+    vertices included before it. It runs over B when B has at most two
+    vertices, as the child that excludes all of B could not improve; a
+    larger B loops over the peel's branch vertex alone, and the child that
+    excludes it follows.
     """
     adj = g.adj
     if deg is None:
-        p, taken, branch, branch_adj = _peel(adj, p)
+        p, taken, branch = _peel(adj, p)
         lanes = None
     else:
         p, deg, taken, lanes = _lane_peel(adj, g.lane_drop, p, deg)
     size += taken.bit_count()
     if best is None:
         best = size + _min_degree_greedy(adj, p)[0]
-    if p == 0:
-        return size if size > best else best
     rest = _cover_rest(adj, p, best - size)
     if not rest:
-        return best
+        return size if size > best else best
     if deg is None:
         deg = _lane_start(g, p)
     drop = g.lane_drop
-    if rest.bit_count() <= 2:
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            gone = adj[low.bit_length() - 1] & p | low
-            best = _mis_size_node(g, p & ~gone, _drop_rows(drop, deg, gone), size + 1, best)
-            p ^= low
-            deg = _drop_rows(drop, deg, low)
-        return best
-    if lanes is not None:
-        v = lanes.index(max(lanes))
-        branch, branch_adj = 1 << v, adj[v]
-    gone = branch_adj & p | branch
-    best = _mis_size_node(g, p & ~gone, _drop_rows(drop, deg, gone), size + 1, best)
-    return _mis_size_node(g, p ^ branch, _drop_rows(drop, deg, branch), size, best)
+    wide = rest.bit_count() > 2
+    if wide:
+        rest = branch if lanes is None else 1 << lanes.index(max(lanes))
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        gone = adj[low.bit_length() - 1] & p | low
+        best = _mis_size_node(g, p & ~gone, _drop_rows(drop, deg, gone), size + 1, best)
+        p ^= low
+        deg = _drop_rows(drop, deg, low)
+    return _mis_size_node(g, p, deg, size, best) if wide else best
 
 
 def mis_size_in_subset(g: Graph, subset: int) -> int:
@@ -573,10 +561,7 @@ def mis_size_all_subsets(g: Graph) -> bytes:
         # gather a[r & ~adj[h]]: per neighbour j, copy each lane with bit j
         # clear onto the lane with bit j set
         gathered = a
-        nbrs = g.adj[h] & (lanes - 1)
-        while nbrs:
-            j = (nbrs & -nbrs).bit_length() - 1
-            nbrs &= nbrs - 1
+        for j in _bits(g.adj[h] & (lanes - 1)):
             run = 1 << j
             pattern = (b"\xff" * run + b"\x00" * run) * (lanes >> (j + 1))
             gathered &= int.from_bytes(pattern, "little")
@@ -596,8 +581,6 @@ def maximum_independent_sets(g: Graph) -> list[int]:
     out: list[int] = []
 
     def node(p: int, size: int, chosen: int) -> None:
-        if size + p.bit_count() < alpha:
-            return
         if size == alpha:
             out.append(chosen)
             if len(out) > MAX_LISTED_SETS:
@@ -605,7 +588,8 @@ def maximum_independent_sets(g: Graph) -> list[int]:
                     f"more than {MAX_LISTED_SETS} maximum independent sets"
                 )
             return
-        # prune when the cover shows the set cannot still reach alpha
+        # the one prune: the cover shows the set cannot still reach alpha,
+        # which it always does for a pool of fewer than alpha - size vertices
         if not _cover_rest(adj, p, alpha - size - 1):
             return
         v = (p & -p).bit_length() - 1

@@ -614,22 +614,43 @@ def test_mis_search_tree_pinned(spec, size, nodes, digest):
     assert hashlib.sha256(hex(res.set_bits).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("spec", ["shift:6", "gnp:150:0.9:2"])
-def test_mis_search_runs_one_clique_cover_per_node(spec, monkeypatch):
+@pytest.mark.parametrize(
+    "spec,search",
+    [
+        pytest.param("shift:6", "mis", id="shift:6"),
+        pytest.param("gnp:150:0.9:2", "mis", id="gnp:150:0.9:2"),
+        pytest.param("shift:6", "size", id="size-shift:6"),
+        pytest.param("gnp:150:0.9:2", "size", id="size-gnp:150:0.9:2"),
+        pytest.param("kneser:3^2", "size", id="size-kneser:3^2"),
+    ],
+)
+def test_mis_search_runs_one_clique_cover_per_node(spec, search, monkeypatch):
     # the root is the search's first node: no node, the root included, is
-    # peeled and checked twice (shift(6) has lanes, gnp(150, 0.9, 2) none)
-    calls = 0
-    real = graphs_module._cover_rest
+    # peeled and checked twice, and each node's one prune is the clique
+    # cover, leaves included (shift(6) has lanes, gnp(150, 0.9, 2) none)
+    counts = {"_cover_rest": 0, "_mis_size_node": 0}
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+    def counted(name):
+        real = getattr(graphs_module, name)
 
-    monkeypatch.setattr(graphs_module, "_cover_rest", counted)
-    res = max_independent_set(_pinned_graph(spec))
-    assert res.nodes_explored > 1
-    assert calls == res.nodes_explored
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(graphs_module, name, wrapper)
+
+    counted("_cover_rest")
+    g = _pinned_graph(spec)
+    if search == "mis":
+        nodes = max_independent_set(g).nodes_explored
+    else:
+        # the draws of PINNED_SIZE_SEARCH_TREES
+        counted("_mis_size_node")
+        for i in range(50):
+            mis_size_in_subset(g, stream_rng(5, i).getrandbits(g.vcount))
+        nodes = counts["_mis_size_node"]
+    assert nodes > 1
+    assert counts["_cover_rest"] == nodes
 
 
 def _hub(d: int) -> Graph:

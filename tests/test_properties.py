@@ -37,6 +37,7 @@ from hatlab.graphs import (
     hamming_product,
     kneser,
     max_independent_set,
+    maximum_independent_sets,
     mis_size_all_subsets,
     mis_size_in_subset,
     random_graph,
@@ -44,6 +45,7 @@ from hatlab.graphs import (
 )
 
 from blocker_reference import brute_force_is_blocker
+from mis_reference import reference_maximum_independent_sets
 from mis_search_reference import reference_mis_search
 
 # derandomized and bounded, so tier-1 stays deterministic and fast
@@ -164,6 +166,14 @@ def test_mis_matches_subset_dp(g, data):
     assert max_independent_set(g).size == table[-1]
     w = data.draw(st.integers(0, (1 << g.vcount) - 1))
     assert mis_size_in_subset(g, w) == table[w]
+
+
+@settings(bounded, max_examples=200)
+@given(graphs(min_vertices=1, max_vertices=14))
+def test_maximum_independent_sets_matches_the_reference(g):
+    # random graphs with self-loops: the clique cover is the enumerator's
+    # only prune, and it must cut no maximum set, nor keep a smaller one
+    assert maximum_independent_sets(g) == reference_maximum_independent_sets(g)
 
 
 @settings(bounded, max_examples=6)
