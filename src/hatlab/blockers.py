@@ -75,7 +75,7 @@ class Blocker:
         size = 1 << self.n
         if not all(len(p) == self.t and all(0 <= c < size for c in p) for p in self.points):
             raise ValueError(
-                f"blocker points must be {self.t}-tuples of integers in [0, 2^{self.n})"
+                f"blocker points must be {_quote(self.t)}-tuples of integers in [0, 2^{self.n})"
             )
 
     @property
@@ -136,7 +136,7 @@ def verify_blocker(blocker: Blocker, family: WinningFamily) -> VerifyResult:
     _require_dictator(family)
     n = family.n
     if blocker.n != n:
-        raise ValueError(f"blocker n={blocker.n} does not match family n={family.n}")
+        raise ValueError(f"blocker n={_quote(blocker.n)} does not match family n={family.n}")
     if blocker.t == 1:
         support = 0
         for (x,) in blocker.points:
@@ -146,7 +146,7 @@ def verify_blocker(blocker: Blocker, family: WinningFamily) -> VerifyResult:
         miss = next(i for i in range(n) if not (support >> i & 1))
         return VerifyResult(False, Counterexample(1, n, {0: miss}, {}), n)
     if blocker.t != 2:
-        raise UnsupportedSizeError(f"certification supports t in (1, 2), got t={blocker.t}")
+        raise UnsupportedSizeError(f"certification supports t in (1, 2), got t={_quote(blocker.t)}")
 
     xs = sorted({p[0] for p in blocker.points})
     ys = sorted({p[1] for p in blocker.points})
@@ -301,12 +301,12 @@ def construct_blockers(
     Repeatedly draws a partition of the n coordinates into 4 nonempty parts
     (uniform labels conditioned on nonemptiness), forms the 6 vectors whose
     support is a union of two parts, and keeps the 6-tuple only when all its
-    vectors avoid everything kept so far. Stops once the kept vectors cover
-    a (1 - delta)/6 fraction of {0,1}^n; every product of a complement pair
-    with a kept tuple is a blocker.
+    vectors avoid everything kept so far. Stops after ceil((1 - delta) 2^n /
+    36) tuples, whose vectors cover a (1 - delta)/6 fraction of {0,1}^n;
+    every product of a complement pair with a kept tuple is a blocker.
 
-    A stalled run (more than `stall_limit` consecutive collisions) returns
-    the partial family with `stalled` set instead of raising. A negative
+    More than `stall_limit` consecutive collisions stop the run early, and
+    `stalled` then means fewer tuples were kept; it does not raise. A negative
     `stall_limit` is a ValueError, and so is n <= 0; a positive n outside
     [4, MAX_DICTATOR_N] raises UnsupportedSizeError before any work.
     """
@@ -323,11 +323,10 @@ def construct_blockers(
         )
     # compared before Fraction(), which raises OverflowError on an infinite float
     if not 0 <= delta < 1:
-        raise ValueError(f"need 0 <= delta < 1, got {delta}")
-    delta = Fraction(delta)
-    target = Fraction(1, ELL) * (1 - delta)
+        raise ValueError(f"need 0 <= delta < 1, got {_quote(delta)}")
     size = 1 << n
-    expected_tuples = max(1, math.ceil(target * size / ELL))
+    # delta < 1 keeps it at least 1
+    expected_tuples = math.ceil((1 - Fraction(delta)) * size / ELL**2)
     if stall_limit is None:
         stall_limit = 50 * expected_tuples
     elif stall_limit < 0:
@@ -337,26 +336,22 @@ def construct_blockers(
     covered = 0
     kept: list[tuple[int, ...]] = []
     consecutive = 0
-    stalled = False
-    while Fraction(ELL * len(kept), size) < target:
-        labels = [rng.randrange(PARTS) for _ in range(n)]
+    while len(kept) < expected_tuples and consecutive <= stall_limit:
         parts = [0] * PARTS
-        for coord, lab in enumerate(labels):
-            parts[lab] |= 1 << coord
+        for coord in range(n):
+            parts[rng.randrange(PARTS)] |= 1 << coord
         if 0 in parts:
             continue  # conditioning on nonempty parts, not a collision
         ys = tuple(
             sorted(parts[a] | parts[b] for a, b in combinations(range(PARTS), 2))
         )
-        if any(covered >> y & 1 for y in ys):
+        # the parts are disjoint, so the six ys are distinct bits of one mask
+        mask = sum(1 << y for y in ys)
+        if covered & mask:
             consecutive += 1
-            if consecutive > stall_limit:
-                stalled = True
-                break
             continue
         consecutive = 0
-        for y in ys:
-            covered |= 1 << y
+        covered |= mask
         kept.append(ys)
 
     family = BlockerFamily(
@@ -366,7 +361,7 @@ def construct_blockers(
         beta=Fraction(ELL * len(kept), size),
         seed=seed,
         tuples=tuple(kept),
-        stalled=stalled,
+        stalled=len(kept) < expected_tuples,
     )
     if family.blocker_count <= BlockerFamily.MATERIALIZE_LIMIT:
         family.materialize()

@@ -176,7 +176,7 @@ def _cmd_alphastar(args: argparse.Namespace) -> tuple[dict, int | None, int]:
 
 
 def _cmd_blocker(args: argparse.Namespace) -> tuple[dict, int | None, int]:
-    if args.blocker_cmd == "bound":
+    if args.subcommand == "bound":
         beta = parse_beta(args.beta)
         # the denominator is at least 2^(2k+2): an unprintable one is refused
         # before the bound is built, which for k = 10^11 would take 25 GB
@@ -189,7 +189,7 @@ def _cmd_blocker(args: argparse.Namespace) -> tuple[dict, int | None, int]:
                 f"{MAX_PRINTED_DIGITS} digits, the most an integer prints with"
             )
         return dict(frac_fields(val), k=args.k), None, EXIT_OK
-    if args.blocker_cmd == "build":
+    if args.subcommand == "build":
         family = construct_blockers(
             args.n, args.seed, args.delta, stall_limit=args.stall_limit
         )
@@ -239,7 +239,7 @@ def _cmd_blocker(args: argparse.Namespace) -> tuple[dict, int | None, int]:
 
 
 def _cmd_graph(args: argparse.Namespace) -> tuple[dict, int | None, int]:
-    if args.graph_cmd == "export":
+    if args.subcommand == "export":
         g = parse_graph_spec(args.graph, args.power)
         if args.encoding == "text":
             with open(args.out, "w") as fh:
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blocker", help="build, verify or bound blocker families")
     p.set_defaults(handler=_cmd_blocker)
-    bsub = p.add_subparsers(dest="blocker_cmd", required=True)
+    bsub = p.add_subparsers(dest="subcommand", required=True)
     b = bsub.add_parser("build")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--seed", type=int, required=True)
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="export or inspect graphs")
     p.set_defaults(handler=_cmd_graph)
-    gsub = p.add_subparsers(dest="graph_cmd", required=True)
+    gsub = p.add_subparsers(dest="subcommand", required=True)
     g = gsub.add_parser("export", parents=[graph_args])
     g.add_argument("--encoding", choices=("text", "binary"), default="text")
     g.add_argument("--out", required=True)
@@ -348,12 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params_of(args: argparse.Namespace) -> dict:
-    skip = {"command", "handler", "format", "threads", "blocker_cmd", "graph_cmd", "seed"}
-    params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-    for k in ("blocker_cmd", "graph_cmd"):
-        if getattr(args, k, None):
-            params["subcommand"] = getattr(args, k)
-    return params
+    skip = {"command", "handler", "format", "threads", "seed"}
+    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -153,11 +153,11 @@ class Strategy:
     def validate(self, family: WinningFamily) -> None:
         if family.n != self.n:
             raise MalformedStrategyError(
-                f"strategy n={self.n} does not match family n={family.n}"
+                f"strategy n={_quote(self.n)} does not match family n={family.n}"
             )
         if len(self.tables) != self.t:
             raise MalformedStrategyError(
-                f"expected {self.t} tables, got {len(self.tables)}"
+                f"expected {_quote(self.t)} tables, got {len(self.tables)}"
             )
         want = 1 << (self.n * (self.t - 1))
         for i, table in enumerate(self.tables):
@@ -168,7 +168,8 @@ class Strategy:
             for e in table:
                 if not 0 <= e < family.r:
                     raise MalformedStrategyError(
-                        f"player {i} table entry {e} outside family index range [0, {family.r})"
+                        f"player {i} table entry {_quote(e)} outside family index range "
+                        f"[0, {family.r})"
                     )
 
 

@@ -194,7 +194,7 @@ def edgeless_graph(m: int) -> Graph:
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with edges drawn pair-by-pair from random.Random(seed)."""
     if not 0 <= p <= 1:
-        raise ValueError(f"need 0 <= p <= 1, got {p}")
+        raise ValueError(f"need 0 <= p <= 1, got {_quote(p)}")
     _check_count(n, "random_graph")
     rng = random.Random(seed)
     adj = _empty_adj(n)

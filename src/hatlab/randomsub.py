@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .errors import UnsupportedSizeError
+from .errors import UnsupportedSizeError, _quote
 from .game import WinningFamily, stream_rng
 from .graphs import (
     MAX_MIS_VERTICES,
@@ -141,7 +141,7 @@ def epsilon_gap(
 ) -> GapResult:
     """alpha_bar(G) - alpha**(G), exact or estimated per `mode`."""
     if mode not in ("exact", "mc"):
-        raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
+        raise ValueError(f"mode must be 'exact' or 'mc', got {_quote(mode)}")
     alpha_bar = max_independent_set(g).alpha_bar
     if mode == "exact":
         a2 = alpha_star_star_exact(g)

@@ -263,9 +263,7 @@ def exact_p(
                 "(the CLI flag --allow-slow)"
             )
         n_tables = family.r ** (1 << (n * (t - 1)))
-        if n_tables <= MAX_LAST_PLAYER_TABLES or (
-            allow_slow and n_tables <= MAX_SLOW_LAST_PLAYER_TABLES
-        ):
+        if n_tables <= (MAX_SLOW_LAST_PLAYER_TABLES if allow_slow else MAX_LAST_PLAYER_TABLES):
             return _exact_last_player(family, t)
         if n_tables > MAX_SLOW_LAST_PLAYER_TABLES:
             raise UnsupportedSizeError(

@@ -26,9 +26,16 @@ from hatlab.blockers import (
     union_measure,
     verify_blocker,
 )
-from hatlab.errors import UnsupportedSizeError
-from hatlab.game import MAX_DICTATOR_N, enumerate_family, winning_set
-from hatlab.graphs import complete_graph, graph_from_text, shift_graph
+from hatlab.errors import MalformedStrategyError, UnsupportedSizeError
+from hatlab.game import (
+    MAX_DICTATOR_N,
+    Strategy,
+    enumerate_family,
+    success_probability,
+    winning_set,
+)
+from hatlab.graphs import complete_graph, graph_from_text, random_graph, shift_graph
+from hatlab.randomsub import epsilon_gap
 from hatlab.solver import exact_p
 
 from blocker_reference import brute_force_is_blocker
@@ -525,6 +532,61 @@ def test_construction_deterministic_per_seed():
     assert c.tuples != a.tuples
 
 
+# (n, delta, stall_limit, tuples, beta, stalled, sha256(repr(tuples))[:16]) at seed 3
+CONSTRUCTION_PINS = [
+    (4, 0.15, None, 1, "3/8", False, "bc68ac7e6e4d579b"),
+    (4, 0.9, 1, 1, "3/8", False, "bc68ac7e6e4d579b"),
+    (4, 0.15, 0, 1, "3/8", False, "bc68ac7e6e4d579b"),
+    (5, 0.15, None, 1, "3/16", False, "6db394da220b9d59"),
+    (5, 0.9, 1, 1, "3/16", False, "6db394da220b9d59"),
+    (5, 0.15, 0, 1, "3/16", False, "6db394da220b9d59"),
+    (6, 0.15, None, 2, "3/16", False, "b7799aec6db576ea"),
+    (6, 0.9, 1, 1, "3/32", False, "ffd30e6453a4e488"),
+    (6, 0.15, 0, 1, "3/32", True, "ffd30e6453a4e488"),
+    (7, 0.15, None, 4, "3/16", False, "f75f353ba9eab9d3"),
+    (7, 0.9, 1, 1, "3/64", False, "fa45cd39b3b35f46"),
+    (7, 0.15, 0, 3, "9/64", True, "1d7f167c92449101"),
+    (8, 0.15, None, 7, "21/128", False, "3f807ad466a68fbd"),
+    (8, 0.9, 1, 1, "3/128", False, "082d61b00dd4dc66"),
+    (8, 0.15, 0, 4, "3/32", True, "bc22d852e266ecc8"),
+    (9, 0.15, None, 13, "39/256", False, "31b2b86a1eb5c9f6"),
+    (9, 0.9, 1, 2, "3/128", False, "64e99c696ecc047c"),
+    (9, 0.15, 0, 8, "3/32", True, "813bb56fef6e1bf2"),
+    (10, 0.15, None, 25, "75/512", False, "e0535ce1bb7fef57"),
+    (10, 0.9, 1, 3, "9/512", False, "5b65211771c6f1cd"),
+    (10, 0.15, 0, 10, "15/256", True, "dc4e0e808d5a4685"),
+    (11, 0.15, None, 49, "147/1024", False, "4cae3755ba9f5c2d"),
+    (11, 0.9, 1, 6, "9/512", False, "8fb906b4265a06a7"),
+    (11, 0.15, 0, 15, "45/1024", True, "21de7e5cadf271b0"),
+    (12, 0.15, None, 97, "291/2048", False, "b24acfe59492e22d"),
+    (12, 0.9, 1, 12, "9/512", False, "ea9efd843810dc9c"),
+    (12, 0.15, 0, 14, "21/1024", True, "2c185aea706468e1"),
+    (13, 0.15, None, 194, "291/2048", False, "545b349fbe356290"),
+    (13, 0.9, 1, 23, "69/4096", False, "38df1b393b6c8da4"),
+    (13, 0.15, 0, 28, "21/1024", True, "821ae0b790a39fb0"),
+    (14, 0.15, None, 387, "1161/8192", False, "68f2874bf6b7a058"),
+    (14, 0.9, 1, 46, "69/4096", False, "903c499731803885"),
+    (14, 0.15, 0, 10, "15/4096", True, "36819c3d26f0075a"),
+    (15, 0.15, None, 774, "1161/8192", False, "012c571657539f19"),
+    (15, 0.9, 1, 92, "69/4096", False, "65dd89cec95a8c6a"),
+    (15, 0.15, 0, 30, "45/8192", True, "cbc52608a974fe4b"),
+    (16, 0.15, None, 1548, "1161/8192", False, "72c8cad6fb6fa5f4"),
+    (16, 0.9, 1, 183, "549/32768", False, "c3b2b14bdd8d02b6"),
+    (16, 0.15, 0, 84, "63/8192", True, "9e6d061ff408ce33"),
+]
+
+
+@pytest.mark.parametrize("n,delta,stall_limit,count,beta,stalled,digest", CONSTRUCTION_PINS)
+def test_construction_is_pinned(n, delta, stall_limit, count, beta, stalled, digest):
+    # a change to the draw order moves the digest; one to the stop rule moves
+    # the count and stalled; a full run keeps ceil((1 - delta) 2^n / 36) tuples
+    family = construct_blockers(n, seed=3, delta=delta, stall_limit=stall_limit)
+    got = hashlib.sha256(repr(tuple(family.tuples)).encode()).hexdigest()[:16]
+    assert (len(family.tuples), str(family.beta), family.stalled, got) == (
+        count, beta, stalled, digest
+    )
+
+
 def test_family_json_round_trip_product():
     family = construct_blockers(16, seed=7, delta=0.8)
     doc = family_to_json(family)
@@ -678,6 +740,41 @@ def test_family_json_errors_do_not_echo_a_huge_value(name):
     with pytest.raises(ValueError, match=what) as info:
         family_from_json(json.dumps(doc))
     assert len(str(info.value)) < 300
+
+
+HUGE = 10**5000  # past the 4300 digits that str() prints
+
+
+@pytest.mark.parametrize(
+    "make,error,what",
+    [
+        (lambda: success_probability(Strategy(n=2, t=1, tables=((HUGE,),)),
+                                     enumerate_family("dictator", 2)), MalformedStrategyError,
+         "outside family index range"),
+        (lambda: success_probability(Strategy(n=HUGE, t=1, tables=((0,),)),
+                                     enumerate_family("dictator", 2)), MalformedStrategyError,
+         "does not match family n=2"),
+        (lambda: success_probability(Strategy(n=2, t=HUGE, tables=((0,),)),
+                                     enumerate_family("dictator", 2)), MalformedStrategyError,
+         "tables, got 1"),
+        (lambda: verify_blocker(Blocker(t=HUGE, n=2, points=()), enumerate_family("dictator", 2)),
+         UnsupportedSizeError, "supports t in"),
+        (lambda: Blocker(t=HUGE, n=2, points=((0,),)), ValueError, "blocker points must be"),
+        (lambda: epsilon_gap(complete_graph(2), mode="x" * 100_000), ValueError, "mode must be"),
+        (lambda: random_graph(5, HUGE, 0), ValueError, "need 0 <= p <= 1"),
+        (lambda: construct_blockers(8, 0, delta=HUGE), ValueError, "need 0 <= delta < 1"),
+    ],
+    ids=[
+        "table-entry", "strategy-n", "strategy-t", "blocker-t", "blocker-points-t", "gap-mode",
+        "gnp-p", "delta",
+    ],
+)
+def test_library_errors_quote_a_huge_input(make, error, what):
+    # each raised Python's "Exceeds the limit (4300 digits)" ValueError in
+    # place of its own message, or echoed a 100,000-character mode
+    with pytest.raises(error, match=what) as info:
+        make()
+    assert len(str(info.value)) < 200
 
 
 # --- graph blockers ---------------------------------------------------------
