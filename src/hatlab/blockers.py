@@ -5,14 +5,16 @@ Certification is a refutation search: enumerate the second player's table on
 the coordinates the blocker touches and ask whether the first player can
 dodge every constraint; if no table lets it dodge all of them, the set is a
 certified blocker, otherwise the dodging partial strategy is returned as a
-counterexample. Each table costs one lane test: every touched second
-coordinate owns a lane of n+1 bits in one integer, the first coordinates
-that constrain it are ORed into its lane, and the table dodges when adding
-1 to every lane carries into no lane's top bit (see `verify_blocker`).
+counterexample. The tables are tested a chunk at a time: bit i of an
+integer stands for the i-th table of the chunk, and a few integer
+operations per touched first coordinate find every table of the chunk
+where some second coordinate's constraint cannot be dodged (see
+`verify_blocker`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -27,6 +29,9 @@ from .game import MAX_DICTATOR_N, Strategy, WinningFamily, tuple_from_index, tup
 from .graphs import Graph, _bits, maximum_independent_sets
 
 MAX_CSP_TABLES = 2_000_000
+# the oracle tests up to this many second-player tables per integer; the hat
+# masks cached for every n <= 16 and chunk take about 220 KiB together
+CHUNK_TABLES = 4096
 
 
 def k_sequence(d: int) -> int:
@@ -70,6 +75,11 @@ class Blocker:
     points: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        # checked before 1 << n, which a huge n overflows and a negative one cannot shift
+        if not (isinstance(self.n, int) and 1 <= self.n <= MAX_DICTATOR_N):
+            raise ValueError(
+                f"blocker n must be an integer in [1, {MAX_DICTATOR_N}], got {_quote(self.n)}"
+            )
         if len(set(self.points)) != len(self.points):
             raise ValueError("blocker points must be distinct")
         size = 1 << self.n
@@ -121,17 +131,41 @@ def _require_dictator(family: WinningFamily) -> None:
         )
 
 
+@functools.cache
+def _hat_masks(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """masks[j][c]: the tables over m coordinates whose coordinate j names hat
+    c, as bit i for the table at index i in `product(range(n), repeat=m)`."""
+    size = n**m
+    out = []
+    for j in range(m):
+        stride = n ** (m - 1 - j)
+        tile = sum(1 << k for k in range(0, size, n * stride))
+        out.append(tuple(tile * (((1 << stride) - 1) << c * stride) for c in range(n)))
+    return tuple(out)
+
+
 def verify_blocker(blocker: Blocker, family: WinningFamily) -> VerifyResult:
     """Certify a blocker or produce an avoiding strategy as a counterexample.
 
-    At t=2 the second player's tables g on the touched first coordinates xs
-    are scanned in `product` order. Each touched second coordinate y owns a
-    lane of n+1 bits. A point (x, y) is live under g when y's bit g(x) is
-    black, and then x is ORed into y's lane; the first player dodges y by
-    naming a hat white on every live x, a zero among the lane's low n bits.
-    So a table dodges exactly when adding LOW (bit 0 of every lane) to the
-    OR sets no bit of HIGH (bit n of every lane). The first dodging table is
-    decoded into the counterexample, naming the lowest legal hat for each y.
+    At t=2 the second player's tables g on the sorted touched first
+    coordinates xs are taken in `product` order, a chunk at a time. The last
+    m coordinates, the tail, vary inside a chunk (n^m <= CHUNK_TABLES), and
+    bit i of a chunk integer is the chunk's table at index i. The head
+    coordinates before them loop in `product` order, one chunk per head
+    table. A point (x, y) is live under g when y's bit g(x) is black. The
+    first player dodges y by naming a hat that is white on every live x, so
+    y blocks g exactly when the OR of its live x's is all-ones.
+
+    Every touched y owns one lane of the chunk's n^m bits in a wider
+    integer. A recurrence over the tail x's keeps, for each OR value s
+    reached so far, the tables (in every y's lane) where y's live x's OR to
+    s. It starts from the OR of y's live head x's, and it drops an s that
+    cannot reach all-ones. The tables at all-ones, folded over the lanes,
+    are the blocked ones; the lowest table no y blocks is the first dodging
+    table. Its counterexample names the lowest legal hat for each y, and
+    `tables_scanned` is its index in `product` order plus 1. A certified
+    blocker reports all n^len(xs) tables, and a non-blocker stops at the
+    first chunk that holds a dodging table.
     """
     _require_dictator(family)
     n = family.n
@@ -155,30 +189,66 @@ def verify_blocker(blocker: Blocker, family: WinningFamily) -> VerifyResult:
         raise UnsupportedSizeError(
             f"{n_tables} second-player tables exceed the {MAX_CSP_TABLES} budget"
         )
-    shift = {y: j * (n + 1) for j, y in enumerate(ys)}
-    low = sum(1 << s for s in shift.values())
-    high = low << n
-    # contrib[x][c]: x in the lane of every y it meets when x's hat is c
-    contrib = {x: [0] * n for x in xs}
-    for x, y in blocker.points:
-        for c in _bits(y):
-            contrib[x][c] |= x << shift[y]
     if not xs:
         return VerifyResult(False, Counterexample(2, n, {}, {}), 1)
-    *head, last = [contrib[x] for x in xs]  # the last coordinate varies fastest
-    for h, hats in enumerate(product(range(n), repeat=len(head))):
-        base = 0
-        for masks, c in zip(head, hats):
-            base |= masks[c]
-        for c, mask in enumerate(last):
-            lanes = base | mask
-            if not (lanes + low) & high:
-                f1 = {}
-                for y in ys:
-                    u = lanes >> shift[y]  # its lowest zero bit lies in y's lane
-                    f1[y] = (~u & (u + 1)).bit_length() - 1
-                g_of = dict(zip(xs, hats + (c,)))
-                return VerifyResult(False, Counterexample(2, n, f1, g_of), h * len(last) + c + 1)
+    m = len(xs)
+    while n**m > CHUNK_TABLES:
+        m -= 1
+    split = len(xs) - m  # xs[:split] are the head coordinates
+    masks = _hat_masks(n, m)
+    width = n**m
+    chunk = (1 << width) - 1
+    full = (1 << n) - 1
+    lane = {y: k * width for k, y in enumerate(ys)}  # y's lane: bits lane[y] to lane[y] + width - 1
+    black = {y: _bits(y) for y in ys}
+    coord = {x: j - split for j, x in enumerate(xs)}  # negative for a head x
+    live = dict.fromkeys(xs[split:], 0)  # per tail x: in each y's lane, where (x, y) is live
+    heads = []
+    for x, y in blocker.points:
+        j = coord[x]
+        if j < 0:
+            heads.append((j + split, x, y))
+        else:
+            live[x] |= sum(map(masks[j].__getitem__, black[y])) << lane[y]
+    tail, rest = [], 0  # (x, live[x], the OR of x and the tail x's after it)
+    for x in reversed(xs[split:]):
+        rest |= x
+        tail.append((x, live[x], rest))
+    tail.reverse()
+    lanes = sum(chunk << k for k in lane.values())
+    for h, hats in enumerate(product(range(n), repeat=split)):
+        start: dict[int, int] = {}  # y -> the OR of its live head x's, where not 0
+        for j, x, y in heads:
+            if y >> hats[j] & 1:
+                start[y] = start.get(y, 0) | x
+        states = {0: lanes}
+        for y, s in start.items():
+            states[0] ^= chunk << lane[y]
+            states[s] = states.get(s, 0) | chunk << lane[y]
+        for x, x_live, rest in tail:
+            grown: dict[int, int] = {}
+            for s, tables in states.items():
+                if s | rest != full:
+                    continue  # all-ones is out of reach
+                on = tables & x_live
+                if on:
+                    grown[s | x] = grown.get(s | x, 0) | on
+                if on != tables:
+                    grown[s] = grown.get(s, 0) | (tables ^ on)
+            states = grown
+        blocked, hit = states.get(full, 0), 0
+        while blocked:  # a table is blocked when some y blocks it
+            hit |= blocked & chunk
+            blocked >>= width
+        if hit != chunk:
+            first = (~hit & (hit + 1)).bit_length() - 1
+            g_of = dict(zip(xs, hats + tuple(first // n ** (m - 1 - j) % n for j in range(m))))
+            ors = dict.fromkeys(ys, 0)
+            for x, y in blocker.points:
+                if y >> g_of[x] & 1:
+                    ors[y] |= x
+            f1 = {y: (~u & (u + 1)).bit_length() - 1 for y, u in ors.items()}
+            return VerifyResult(False, Counterexample(2, n, f1, g_of), h * width + first + 1)
     return VerifyResult(True, None, n_tables)
 
 

@@ -53,13 +53,21 @@ def _rechecked(
 
 
 class _Argmax(dict):
-    """Memoised best mask against a union: best[u] = (max popcount(w & u), its lowest index)."""
+    """Memoised best mask against a union: best[u] = (max popcount(w & u), its lowest index).
+
+    The memo is cleared when it holds CAP entries, so a long local search
+    keeps at most CAP unions (one restart at (4,5) meets 481,435).
+    """
+
+    CAP = 1 << 16
 
     def __init__(self, masks: tuple[int, ...] | list[int]) -> None:
         super().__init__()
         self.masks = masks
 
     def __missing__(self, u: int) -> tuple[int, int]:
+        if len(self) >= self.CAP:
+            self.clear()
         b, bi = -1, 0
         for i, w in enumerate(self.masks):
             c = (w & u).bit_count()

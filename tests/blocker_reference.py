@@ -1,4 +1,4 @@
-"""Reference blocker test for the t=2 certification oracle, sharing no code
+"""Reference blocker tests for the t=2 certification oracle, sharing no code
 with `hatlab.blockers.verify_blocker`."""
 
 from __future__ import annotations
@@ -25,3 +25,26 @@ def brute_force_is_blocker(points: list[tuple[int, int]], n: int) -> bool:
         if all(allowed.values()):
             return False  # f plus any allowed hat per x avoids every point
     return True
+
+
+def first_dodging_table(points: list[tuple[int, int]], n: int) -> tuple[int, dict[int, int]] | None:
+    """The second player's first table that lets the first player dodge.
+
+    Tables g map the sorted touched first coordinates to hats in `product`
+    order, the last coordinate fastest. Under g a point (x, y) is live when
+    y >> g(x) & 1, and the first player dodges y with a hat c that is 0 in
+    every live x. Returns (index of g in that order, g), or None when every
+    table blocks some y.
+    """
+    xs = sorted({p[0] for p in points})
+    rows: dict[int, list[int]] = {}
+    for x, y in points:
+        rows.setdefault(y, []).append(x)
+    for index, g in enumerate(product(range(n), repeat=len(xs))):
+        g_of = dict(zip(xs, g))
+        if all(
+            any(all(not (x >> c & 1) for x in row if y >> g_of[x] & 1) for c in range(n))
+            for y, row in rows.items()
+        ):
+            return index, g_of
+    return None

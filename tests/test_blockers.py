@@ -7,6 +7,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -38,7 +39,7 @@ from hatlab.graphs import complete_graph, graph_from_text, random_graph, shift_g
 from hatlab.randomsub import epsilon_gap
 from hatlab.solver import exact_p
 
-from blocker_reference import brute_force_is_blocker
+from blocker_reference import brute_force_is_blocker, first_dodging_table
 from mis_reference import reference_maximum_independent_sets
 
 
@@ -141,6 +142,13 @@ def test_blocker_rejects_points_out_of_range():
     Blocker(2, 4, ((0, 15), (15, 0)))  # both ends of the range are points
     with pytest.raises(ValueError, match="distinct"):
         Blocker(2, 4, ((1, 2), (1, 2)))
+
+
+@pytest.mark.parametrize("n", [-1, 0, MAX_DICTATOR_N + 1, 2.0, "4"])
+def test_blocker_rejects_an_n_outside_the_dictator_range(n):
+    # -1 raised "negative shift count" from 1 << n
+    with pytest.raises(ValueError, match=r"blocker n must be an integer in \[1, 16\]"):
+        Blocker(2, n, ((0, 0),))
 
 
 @pytest.mark.parametrize(
@@ -271,6 +279,57 @@ def test_oracle_pinned():
     assert (len(results), sum(r.is_blocker for r in results)) == (1319, 1129)
     assert sum(r.tables_scanned for r in results) == 158582
     assert hashlib.sha256(repr(results).encode()).hexdigest() == ORACLE_DIGEST
+
+
+def _dodging_table_cases() -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """Seeded point sets at n=1..4, with up to 9 touched x's, so that some n=3
+    and n=4 sets span several 4096-table chunks of the oracle."""
+    rng = random.Random(34)
+    cases = []
+    for n, top in ((1, 2), (2, 4), (3, 8), (4, 7)):
+        for _ in range(40):
+            xs = rng.sample(range(1 << n), rng.randint(1, top))
+            ys = [sum(1 << i for i in range(n) if rng.random() < 0.7)
+                  for _ in range(rng.randint(1, 6))]
+            pts = {(x, rng.choice(ys)) for x in xs}
+            pts |= {(rng.choice(xs), rng.choice(ys)) for _ in range(rng.randint(0, 2 * len(xs)))}
+            cases.append((n, tuple(sorted(pts))))
+    # every complement pair times every two-hat y blocks: certified over all
+    # eight x's at n=3 (6561 tables), and over seven x's at n=4 (16384)
+    for n, xs in ((3, range(8)), (4, (1, 2, 4, 8, 7, 11, 13))):
+        two_hats = [(1 << a) | (1 << b) for a, b in combinations(range(n), 2)]
+        cases.append((n, tuple((x, y) for x in xs for y in two_hats)))
+    # at n=4, x 3 and x 12 OR to all-ones: y=3 blocks when both name hat 0
+    # or 1, y=13 when both name 0, 2 or 3; so every table with g(3) = 0 is
+    # blocked, and the first dodging table lies in a later chunk, where 3 is
+    # a head x. The x's with y=0 are never live and only add coordinates
+    for fill in ((5, 6, 9, 10, 15), (5, 6, 9, 10, 14, 15), (1, 2, 5, 6, 9, 10, 15)):
+        pts = {(x, y) for x in (3, 12) for y in (3, 13)} | {(x, 0) for x in fill}
+        cases.append((4, tuple(sorted(pts))))
+    return cases
+
+
+def test_oracle_finds_the_reference_first_dodging_table():
+    chunked = later = 0
+    for n, points in _dodging_table_cases():
+        res = verify_blocker(Blocker(2, n, points), enumerate_family("dictator", n))
+        want = first_dodging_table(list(points), n)
+        touched = len({x for x, _ in points})
+        chunked += n**touched > 4096
+        if want is None:
+            assert res.is_blocker and res.counterexample is None
+            assert res.tables_scanned == n**touched
+            continue
+        index, g_of = want
+        later += index >= 4096
+        assert not res.is_blocker
+        assert res.tables_scanned == index + 1
+        assert list(res.counterexample.f2.items()) == list(g_of.items())
+        for x, y in points:  # the named hat of y is white on every live x
+            if y >> g_of[x] & 1:
+                assert not (x >> res.counterexample.f1[y] & 1)
+    # sets over more than one chunk, and first dodging tables past the first chunk
+    assert (chunked, later) == (15, 3)
 
 
 # --- construction -----------------------------------------------------------
@@ -760,13 +819,14 @@ HUGE = 10**5000  # past the 4300 digits that str() prints
         (lambda: verify_blocker(Blocker(t=HUGE, n=2, points=()), enumerate_family("dictator", 2)),
          UnsupportedSizeError, "supports t in"),
         (lambda: Blocker(t=HUGE, n=2, points=((0,),)), ValueError, "blocker points must be"),
+        (lambda: Blocker(t=2, n=HUGE, points=((0, 0),)), ValueError, "blocker n must be"),
         (lambda: epsilon_gap(complete_graph(2), mode="x" * 100_000), ValueError, "mode must be"),
         (lambda: random_graph(5, HUGE, 0), ValueError, "need 0 <= p <= 1"),
         (lambda: construct_blockers(8, 0, delta=HUGE), ValueError, "need 0 <= delta < 1"),
     ],
     ids=[
-        "table-entry", "strategy-n", "strategy-t", "blocker-t", "blocker-points-t", "gap-mode",
-        "gnp-p", "delta",
+        "table-entry", "strategy-n", "strategy-t", "blocker-t", "blocker-points-t", "blocker-n",
+        "gap-mode", "gnp-p", "delta",
     ],
 )
 def test_library_errors_quote_a_huge_input(make, error, what):

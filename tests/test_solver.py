@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from hatlab.errors import MalformedStrategyError, UnsupportedSizeError
 from hatlab.game import enumerate_family, success_probability
+from hatlab import solver
 from hatlab.graphs import hamming_power, kneser, max_independent_set
 from hatlab.solver import (
     _scan_last_player,
@@ -406,6 +407,15 @@ def test_local_search_deterministic_and_thread_stable():
     b = local_search_p(3, 2, "dictator", seed=1, restarts=12, threads=8)
     assert a.value == b.value
     assert a.witness == b.witness
+
+
+@pytest.mark.parametrize("t,n,kind", [(2, 3, "dictator"), (3, 2, "intersecting"), (2, 4, "dictator")])
+def test_clearing_the_best_response_memo_keeps_every_result(t, n, kind, monkeypatch):
+    # a memo cleared every 8 entries recomputes most unions; nothing else may change
+    whole = local_search_p(t, n, kind, seed=3, restarts=6)
+    monkeypatch.setattr(solver._Argmax, "CAP", 8)
+    cleared = local_search_p(t, n, kind, seed=3, restarts=6)
+    assert (cleared.value, cleared.witness, cleared.work) == (whole.value, whole.witness, whole.work)
 
 
 def test_local_search_witness_validity():
