@@ -6,10 +6,10 @@ the coordinates the blocker touches and ask whether the first player can
 dodge every constraint; if no table lets it dodge all of them, the set is a
 certified blocker, otherwise the dodging partial strategy is returned as a
 counterexample. The tables are tested a chunk at a time: bit i of an
-integer stands for the i-th table of the chunk, and a few integer
-operations per touched first coordinate find every table of the chunk
-where some second coordinate's constraint cannot be dodged (see
-`verify_blocker`).
+integer stands for the i-th table of the chunk. One multiplication per
+touched first coordinate gives the tables where its points are live, and
+an AND of ORs of those finds every table of the chunk where some second
+coordinate's constraint cannot be dodged (see `verify_blocker`).
 """
 
 from __future__ import annotations
@@ -17,20 +17,21 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import random
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .errors import UnsupportedSizeError, _cut, _quote
 from .game import MAX_DICTATOR_N, Strategy, WinningFamily, tuple_from_index, tuple_index
 from .graphs import Graph, _bits, maximum_independent_sets
 
 MAX_CSP_TABLES = 2_000_000
-# the oracle tests up to this many second-player tables per integer; the hat
-# masks cached for every n <= 16 and chunk take about 220 KiB together
+# the oracle tests up to this many second-player tables per integer; the
+# masks `_spread_masks` caches for every n <= 16 and chunk take about 75 KiB
 CHUNK_TABLES = 4096
 
 
@@ -76,16 +77,23 @@ class Blocker:
 
     def __post_init__(self) -> None:
         # checked before 1 << n, which a huge n overflows and a negative one cannot shift
-        if not (isinstance(self.n, int) and 1 <= self.n <= MAX_DICTATOR_N):
+        if not (type(self.n) is int and 1 <= self.n <= MAX_DICTATOR_N):
             raise ValueError(
                 f"blocker n must be an integer in [1, {MAX_DICTATOR_N}], got {_quote(self.n)}"
             )
-        if len(set(self.points)) != len(self.points):
+        t, points = self.t, self.points
+        if not (type(t) is int and t >= 1):
+            raise ValueError(f"blocker t must be a positive integer, got {_quote(t)}")
+        if len(set(points)) != len(points):
             raise ValueError("blocker points must be distinct")
         size = 1 << self.n
-        if not all(len(p) == self.t and all(0 <= c < size for c in p) for p in self.points):
+        # bool and float coordinates are not points, though 1.0 == 1 and True == 1
+        if not (
+            all(len(p) == t for p in points)
+            and all(type(c) is int and 0 <= c < size for c in chain.from_iterable(points))
+        ):
             raise ValueError(
-                f"blocker points must be {_quote(self.t)}-tuples of integers in [0, 2^{self.n})"
+                f"blocker points must be {_quote(t)}-tuples of integers in [0, 2^{self.n})"
             )
 
     @property
@@ -132,16 +140,37 @@ def _require_dictator(family: WinningFamily) -> None:
 
 
 @functools.cache
-def _hat_masks(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """masks[j][c]: the tables over m coordinates whose coordinate j names hat
-    c, as bit i for the table at index i in `product(range(n), repeat=m)`."""
+def _spread_masks(n: int, m: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Per coordinate j of m: (tables, copies, keep, top), with s_j = n^(m-1-j).
+
+    tables is the tables whose coordinate j names hat 0, as bit i for the
+    table at index i in `product(range(n), repeat=m)`; shifted by c*s_j it
+    is those naming hat c. spread(y) = (y & (2^(n-1) - 1)) * copies & keep
+    | (y >> (n-1)) << top puts bit c of y at bit c*s_j: copies makes
+    copies of y's low n-1 bits, s_j - 1 apart (one copy when s_j = 1),
+    which never overlap, and keep holds bit c of copy c. tables *
+    spread(y) is then the tables where coordinate j names a black hat of y.
+    """
     size = n**m
     out = []
     for j in range(m):
         stride = n ** (m - 1 - j)
         tile = sum(1 << k for k in range(0, size, n * stride))
-        out.append(tuple(tile * (((1 << stride) - 1) << c * stride) for c in range(n)))
+        copies = sum(1 << c * (stride - 1) for c in range(n - 1)) if stride > 1 else 1
+        keep = sum(1 << c * stride for c in range(n - 1))
+        out.append((tile * ((1 << stride) - 1), copies, keep, (n - 1) * stride))
     return tuple(out)
+
+
+def _refine(classes: dict[int, int], x: int, live: int) -> dict[int, int]:
+    """Splits each class of hat bits by x, ORing live into the part inside x."""
+    out = {}
+    for bits, where in classes.items():
+        if bits & x:
+            out[bits & x] = where | live
+        if bits & ~x:
+            out[bits & ~x] = where
+    return out
 
 
 def verify_blocker(blocker: Blocker, family: WinningFamily) -> VerifyResult:
@@ -154,14 +183,17 @@ def verify_blocker(blocker: Blocker, family: WinningFamily) -> VerifyResult:
     coordinates before them loop in `product` order, one chunk per head
     table. A point (x, y) is live under g when y's bit g(x) is black. The
     first player dodges y by naming a hat that is white on every live x, so
-    y blocks g exactly when the OR of its live x's is all-ones.
+    y blocks g exactly when every hat bit lies in one of its live x's.
 
     Every touched y owns one lane of the chunk's n^m bits in a wider
-    integer. A recurrence over the tail x's keeps, for each OR value s
-    reached so far, the tables (in every y's lane) where y's live x's OR to
-    s. It starts from the OR of y's live head x's, and it drops an s that
-    cannot reach all-ones. The tables at all-ones, folded over the lanes,
-    are the blocked ones; the lowest table no y blocks is the first dodging
+    integer. Each tail x places its ys' bits, spread to its coordinate's
+    stride, in their lanes, and one multiplication by that coordinate's
+    mask (`_spread_masks`) gives where x is live. For a hat bit b, the OR
+    of the live masks of the tail x's holding b, and of the lanes of the
+    ys with a live head x holding b, is where b lies in a live x. Bits held
+    by the same x's share that OR, so it is kept once per class of such
+    bits (`_refine`). The AND over the classes, folded over the lanes, is
+    the blocked tables. The lowest table no y blocks is the first dodging
     table. Its counterexample names the lowest legal hat for each y, and
     `tables_scanned` is its index in `product` order plus 1. A certified
     blocker reports all n^len(xs) tables, and a non-blocker stops at the
@@ -195,48 +227,37 @@ def verify_blocker(blocker: Blocker, family: WinningFamily) -> VerifyResult:
     while n**m > CHUNK_TABLES:
         m -= 1
     split = len(xs) - m  # xs[:split] are the head coordinates
-    masks = _hat_masks(n, m)
+    spread = _spread_masks(n, m)
     width = n**m
     chunk = (1 << width) - 1
-    full = (1 << n) - 1
-    lane = {y: k * width for k, y in enumerate(ys)}  # y's lane: bits lane[y] to lane[y] + width - 1
-    black = {y: _bits(y) for y in ys}
-    coord = {x: j - split for j, x in enumerate(xs)}  # negative for a head x
-    live = dict.fromkeys(xs[split:], 0)  # per tail x: in each y's lane, where (x, y) is live
+    low = (1 << (n - 1)) - 1
+    # y's lane: bits lane[y] to lane[y] + width - 1
+    lane = dict(zip(ys, range(0, len(ys) * width, width)))
+    coord = dict(zip(xs, range(-split, m)))  # negative for a head x
+    packed = dict.fromkeys(xs[split:], 0)  # per tail x: its ys' spread bits, in their lanes
     heads = []
     for x, y in blocker.points:
         j = coord[x]
         if j < 0:
             heads.append((j + split, x, y))
         else:
-            live[x] |= sum(map(masks[j].__getitem__, black[y])) << lane[y]
-    tail, rest = [], 0  # (x, live[x], the OR of x and the tail x's after it)
-    for x in reversed(xs[split:]):
-        rest |= x
-        tail.append((x, live[x], rest))
-    tail.reverse()
-    lanes = sum(chunk << k for k in lane.values())
+            _, copies, keep, top = spread[j]
+            packed[x] |= ((y & low) * copies & keep | (y >> (n - 1)) << top) << lane[y]
+    # hat bits held by the same tail x's lie in a live x in the same tables:
+    # one class of bits per such set, mapped to the OR of their live masks
+    tail_classes = {(1 << n) - 1: 0}
+    for x, bits in packed.items():
+        tail_classes = _refine(tail_classes, x, spread[coord[x]][0] * bits)
     for h, hats in enumerate(product(range(n), repeat=split)):
-        start: dict[int, int] = {}  # y -> the OR of its live head x's, where not 0
-        for j, x, y in heads:
-            if y >> hats[j] & 1:
-                start[y] = start.get(y, 0) | x
-        states = {0: lanes}
-        for y, s in start.items():
-            states[0] ^= chunk << lane[y]
-            states[s] = states.get(s, 0) | chunk << lane[y]
-        for x, x_live, rest in tail:
-            grown: dict[int, int] = {}
-            for s, tables in states.items():
-                if s | rest != full:
-                    continue  # all-ones is out of reach
-                on = tables & x_live
-                if on:
-                    grown[s | x] = grown.get(s | x, 0) | on
-                if on != tables:
-                    grown[s] = grown.get(s, 0) | (tables ^ on)
-            states = grown
-        blocked, hit = states.get(full, 0), 0
+        classes = tail_classes
+        if heads:
+            start: dict[int, int] = {}  # y -> the OR of its live head x's, where not 0
+            for j, x, y in heads:
+                if y >> hats[j] & 1:
+                    start[y] = start.get(y, 0) | x
+            for y, s in start.items():
+                classes = _refine(classes, s, chunk << lane[y])
+        blocked, hit = functools.reduce(operator.and_, classes.values()), 0
         while blocked:  # a table is blocked when some y blocks it
             hit |= blocked & chunk
             blocked >>= width

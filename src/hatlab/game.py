@@ -159,17 +159,18 @@ class Strategy:
             raise MalformedStrategyError(
                 f"expected {_quote(self.t)} tables, got {len(self.tables)}"
             )
-        want = 1 << (self.n * (self.t - 1))
+        want, r = 1 << (self.n * (self.t - 1)), family.r
         for i, table in enumerate(self.tables):
             if len(table) != want:
                 raise MalformedStrategyError(
                     f"player {i} table has {len(table)} entries, expected {want}"
                 )
             for e in table:
-                if not 0 <= e < family.r:
+                # 0.0 and False compare like indices but are none
+                if not (type(e) is int and 0 <= e < r):
                     raise MalformedStrategyError(
                         f"player {i} table entry {_quote(e)} outside family index range "
-                        f"[0, {family.r})"
+                        f"[0, {r})"
                     )
 
 

@@ -193,7 +193,7 @@ def best_response_value(table: tuple[int, ...], family: WinningFamily) -> Fracti
     table[x] is the member player 2 names on seeing player 1's point x.
     """
     n, r = family.n, family.r
-    if len(table) != 1 << n or not all(0 <= i < r for i in table):
+    if len(table) != 1 << n or not all(type(i) is int and 0 <= i < r for i in table):
         raise MalformedStrategyError(
             f"a player-2 table needs 2^{n} entries in [0, {r}); got {len(table)} entries"
         )

@@ -144,7 +144,23 @@ def test_blocker_rejects_points_out_of_range():
         Blocker(2, 4, ((1, 2), (1, 2)))
 
 
-@pytest.mark.parametrize("n", [-1, 0, MAX_DICTATOR_N + 1, 2.0, "4"])
+@pytest.mark.parametrize(
+    "t,points,what",
+    [
+        (2, ((1.5, 2), (3, 4)), r"blocker points must be 2-tuples of integers in \[0, 2\^3\)"),
+        (2, ((True, 2), (3, 4)), r"blocker points must be 2-tuples of integers in \[0, 2\^3\)"),
+        (-1, (), "blocker t must be a positive integer, got -1"),
+        (2.0, ((1, 2),), "blocker t must be a positive integer, got 2.0"),
+    ],
+    ids=["float", "bool", "t=-1", "t=2.0"],
+)
+def test_blocker_rejects_what_is_no_integer(t, points, what):
+    # each was accepted: the float point then made verify_blocker raise a bare TypeError
+    with pytest.raises(ValueError, match=what):
+        Blocker(t, 3, points)
+
+
+@pytest.mark.parametrize("n", [-1, 0, MAX_DICTATOR_N + 1, 2.0, "4", True])
 def test_blocker_rejects_an_n_outside_the_dictator_range(n):
     # -1 raised "negative shift count" from 1 << n
     with pytest.raises(ValueError, match=r"blocker n must be an integer in \[1, 16\]"):
@@ -309,27 +325,90 @@ def _dodging_table_cases() -> list[tuple[int, tuple[tuple[int, int], ...]]]:
     return cases
 
 
+def _wide_dodging_table_cases() -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """Seeded point sets at n=5..8 and n=16 over 3 or 4 touched x's, so that
+    the oracle's tail coordinates have strides n^2 and n^3, and at n=16 four
+    x's leave a head x."""
+    rng = random.Random(35)
+    cases = []
+    for n in (5, 6, 7, 8, 16):
+        full = (1 << n) - 1
+
+        def dense() -> int:
+            return sum(1 << i for i in range(n) if rng.random() < 0.7)
+
+        for _ in range(8):
+            touched: set[int] = set()
+            while len(touched) < 3:
+                touched = {dense() for _ in range(rng.randint(3, 4))}
+            xs = sorted(touched)
+            ys = [dense() for _ in range(rng.randint(2, 6))]
+            pts = {(x, rng.choice(ys)) for x in xs}
+            pts |= {(rng.choice(xs), rng.choice(ys)) for _ in range(rng.randint(0, 2 * len(xs)))}
+            cases.append((n, tuple(sorted(pts))))
+        # a complement pair times ys covering every pair of hats (the unions
+        # of two of four parts) blocks, with a third x at one of the ys
+        parts = [0] * 4
+        while 0 in parts:
+            parts = [0] * 4
+            for c in range(n):
+                parts[rng.randrange(4)] |= 1 << c
+        ys = [parts[i] | parts[j] for i, j in combinations(range(4), 2)]
+        a = rng.randrange(1, full)
+        third = rng.choice([x for x in range(1, full) if x not in (a, full ^ a)][:64])
+        pts = {(x, y) for x in (a, full ^ a) for y in ys} | {(third, rng.choice(ys))}
+        cases.append((n, tuple(sorted(pts))))
+    # at n=16 the smallest of four x's, a, is the head x. With y1 | y2
+    # all-ones and hats 0..k-1 in both, every table with g(a) < k is
+    # blocked: a and full ^ a are live for whichever y holds g(full ^ a).
+    # So the first dodging table lies in head chunk k or later
+    n, full = 16, (1 << 16) - 1
+    for k in (1, 2):
+        y1 = y2 = (1 << k) - 1
+        for c in range(k, n):
+            if rng.random() < 0.5:
+                y1 |= 1 << c
+            else:
+                y2 |= 1 << c
+        a = rng.randrange(1, 256)
+        fills = rng.sample(range(256, full ^ 255), 2)
+        pts = {(x, y) for x in (a, full ^ a) for y in (y1, y2)}
+        pts |= {(fills[0], y1), (fills[1], rng.choice((y1, y2)))}
+        cases.append((n, tuple(sorted(pts))))
+    return cases
+
+
+def _matches_the_reference(n: int, points: tuple[tuple[int, int], ...]) -> tuple[bool, int]:
+    """Asserts the oracle's verdict, `tables_scanned` and counterexample
+    against the reference; returns (more than one chunk, reference index)."""
+    res = verify_blocker(Blocker(2, n, points), enumerate_family("dictator", n))
+    want = first_dodging_table(list(points), n)
+    touched = len({x for x, _ in points})
+    chunked = n**touched > 4096
+    if want is None:
+        assert res.is_blocker and res.counterexample is None
+        assert res.tables_scanned == n**touched
+        return chunked, -1
+    index, g_of = want
+    assert not res.is_blocker
+    assert res.tables_scanned == index + 1
+    assert list(res.counterexample.f2.items()) == list(g_of.items())
+    for x, y in points:  # the named hat of y is white on every live x
+        if y >> g_of[x] & 1:
+            assert not (x >> res.counterexample.f1[y] & 1)
+    return chunked, index
+
+
 def test_oracle_finds_the_reference_first_dodging_table():
-    chunked = later = 0
-    for n, points in _dodging_table_cases():
-        res = verify_blocker(Blocker(2, n, points), enumerate_family("dictator", n))
-        want = first_dodging_table(list(points), n)
-        touched = len({x for x, _ in points})
-        chunked += n**touched > 4096
-        if want is None:
-            assert res.is_blocker and res.counterexample is None
-            assert res.tables_scanned == n**touched
-            continue
-        index, g_of = want
-        later += index >= 4096
-        assert not res.is_blocker
-        assert res.tables_scanned == index + 1
-        assert list(res.counterexample.f2.items()) == list(g_of.items())
-        for x, y in points:  # the named hat of y is white on every live x
-            if y >> g_of[x] & 1:
-                assert not (x >> res.counterexample.f1[y] & 1)
+    found = [_matches_the_reference(n, points) for n, points in _dodging_table_cases()]
+    chunked = sum(c for c, _ in found)
+    later = sum(index >= 4096 for _, index in found)
     # sets over more than one chunk, and first dodging tables past the first chunk
     assert (chunked, later) == (15, 3)
+    found = [_matches_the_reference(n, points) for n, points in _wide_dodging_table_cases()]
+    # certified sets, sets over a head x (n=16, four x's) and their later dodges
+    assert sum(index < 0 for _, index in found) == 9
+    assert [index for (c, index) in found if c] == [0, 0, 0, 4098, 8197]
 
 
 # --- construction -----------------------------------------------------------

@@ -379,6 +379,9 @@ def test_malformed_strategy_rejected():
         winning_set(Strategy(n=2, t=2, tables=((0,), (0, 0, 0, 0))), fam)
     with pytest.raises(MalformedStrategyError):
         winning_set(Strategy(n=2, t=2, tables=((5, 0, 0, 0), (0, 0, 0, 0))), fam)
+    # 0.0 passed the range check, then failed as a tuple index with a TypeError
+    with pytest.raises(MalformedStrategyError, match="entry 0.0 outside"):
+        success_probability(Strategy(n=2, t=2, tables=((0, 1, 0, 1), (0, 0.0, 0, 0))), fam)
     with pytest.raises(MalformedStrategyError, match="does not match family n=2"):
         winning_set(Strategy(n=3, t=2, tables=((0,) * 8, (0,) * 8)), fam)
     with pytest.raises(MalformedStrategyError, match="expected 2 tables, got 1"):

@@ -105,8 +105,9 @@ def test_best_response_max_over_tables_equals_exact():
 
 def test_malformed_tables_rejected():
     fam = enumerate_family("dictator", 2)  # r = 2
-    # too short, too long, an entry at r, a negative entry
-    for table in [(0, 1, 0), (0, 1, 0, 1, 0), (0, 1, 2, 0), (0, -1, 0, 1)]:
+    # too short, too long, an entry at r, a negative entry, a float and a bool
+    for table in [(0, 1, 0), (0, 1, 0, 1, 0), (0, 1, 2, 0), (0, -1, 0, 1), (0.0, 1, 0, 1),
+                  (0, True, 0, 1)]:
         with pytest.raises(MalformedStrategyError):
             best_response_value(table, fam)
 
